@@ -19,11 +19,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
 import sys
 
 from .errors import (
     MembershipSearchError,
     MethodDisagreementError,
+    ParameterError,
     SpindleError,
 )
 from .linalg import RationalAngle, default_eps
@@ -32,12 +35,11 @@ from .spaces import (
     PQ_FAMILIES,
     SpaceFamily,
     build_space,
-    canonical_element,
     catalog_entry,
     sweep_families,
 )
 from .spindle import (
-    ad_spectrum,
+    AdSpectrum,
     classify_time,
     closed_form_lambda,
     jacobi_norm_sq,
@@ -58,19 +60,18 @@ def _checks_ok(report) -> bool:
     )
 
 
+# Report keys a table row carries next to its catalog entry.
+_ROW_REPORT_KEYS = (
+    "lambda", "method_exact", "method_numeric", "frequencies", "extrinsically_symmetric"
+)
+
+
 def _row(space, report) -> dict:
+    full = report.to_json_dict()
     row = catalog_entry(space)
-    row.update(
-        {
-            "lambda": report.lambda_,
-            "method_exact": report.method_exact,
-            "method_numeric": report.method_numeric,
-            "frequencies": [float(nu) for nu in report.frequencies],
-            "orbit_dim": report.orbit_dim,
-            "extrinsically_symmetric": report.extrinsically_symmetric,
-            "checks_ok": _checks_ok(report),
-        }
-    )
+    row.update({key: full[key] for key in _ROW_REPORT_KEYS})
+    row["orbit_dim"] = report.orbit_dim
+    row["checks_ok"] = _checks_ok(report)
     return row
 
 
@@ -113,7 +114,7 @@ def cmd_table(args) -> int:
                 )
 
     if args.json:
-        payload = {"cap": args.cap, "eps": default_eps() if args.eps is None else args.eps, "rows": rows}
+        payload = {"cap": args.cap, "eps": args.eps, "rows": rows}
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -186,7 +187,7 @@ def cmd_profile(args) -> int:
         raise SpindleError(f"--step must be positive, got {args.step}")
     space = build_space(family)
     report = spindle_number(space, eps=args.eps)
-    spec = ad_spectrum(space, canonical_element(family), eps=args.eps)
+    spec = AdSpectrum(report.frequencies, report.mult_k, report.mult_p)
     comps = [1.0] * len(spec.positive_frequencies)
 
     rows = []
@@ -310,6 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_eps(flag: float | None) -> float:
+    """The one eps of a run: --eps if given, else SPINDLE_EPS, else the
+    default; it must be finite and > 0."""
+    if flag is not None:
+        source, given, eps = "--eps", flag, flag
+    else:
+        source, given = "SPINDLE_EPS", os.environ.get("SPINDLE_EPS")
+        try:
+            eps = default_eps()
+        except ValueError:
+            eps = math.nan
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError(f"{source} must be a finite number > 0, got {given!r}")
+    return eps
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -318,6 +335,7 @@ def main(argv=None) -> int:
         # argparse exits on usage errors and on --help
         return int(exc.code or 0)
     try:
+        args.eps = _run_eps(args.eps)
         return args.func(args)
     except (MethodDisagreementError, MembershipSearchError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

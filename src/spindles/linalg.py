@@ -88,10 +88,12 @@ def trace_inner(x, y) -> float:
 
 def mat_to_vec(a) -> np.ndarray:
     """Flatten a complex matrix to a real vector (real parts then
-    imaginary parts). For anti-Hermitian X, Y the euclidean dot product
-    of these vectors equals trace_inner(X, Y)."""
+    imaginary parts); a (d, N, N) stack gives one such row per matrix.
+    For anti-Hermitian X, Y the euclidean dot product of these vectors
+    equals trace_inner(X, Y)."""
     m = np.asarray(a, dtype=complex)
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def subspace_rank(mats: Iterable, eps: float | None = None) -> int:

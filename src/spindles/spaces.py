@@ -19,6 +19,14 @@ by left and right translation, the involution swapping the factors):
     GRP_c      Sp(n)                    orbit Sp(n)/U(n)
     GRP_d      Spin(2n)                 orbit SO(2n)/U(n)
 
+Every fact about a family lives in its FamilySpec record in the _FAMILIES
+table, in catalog order: parameter shape and lower bound, ambient size,
+basis, involution, names, closed-form tag, canonical element, isotropy
+predicate, stated membership rule, table lambda, center and cover
+multiplier. FAMILY_TAGS, PQ_FAMILIES and GROUP_FAMILIES are read off the
+table, and the public functions below look a family up there; adding a
+family is one new record.
+
 Lie algebras are realized as anti-Hermitian complex matrices; compact
 Sp(n) sits inside U(2n) via the standard J_n = [[0,-I_n],[I_n,0]]
 embedding. The group families are realized on a single copy of the
@@ -36,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,220 +63,37 @@ from .linalg import (
     resolve_eps,
 )
 
-FAMILY_TAGS = (
-    "AI",
-    "AII",
-    "AIII",
-    "BDI_rank1",
-    "BDI_split",
-    "DIII",
-    "CI",
-    "CII",
-    "GRP_a",
-    "GRP_bd",
-    "GRP_c",
-    "GRP_d",
-)
 
-# Families parametrized by a pair 1 <= p <= q; the rest take a single n.
-PQ_FAMILIES = frozenset({"AI", "AII", "BDI_rank1", "GRP_a"})
-GROUP_FAMILIES = frozenset({"GRP_a", "GRP_bd", "GRP_c", "GRP_d"})
-
-# Closed-form exponential tag per family (see linalg.exp_structured).
-_FORM_BY_TAG = {
-    "AI": "diagonal-phase",
-    "AII": "diagonal-phase",
-    "GRP_a": "diagonal-phase",
-    "AIII": "half-angle",
-    "BDI_split": "half-angle",
-    "DIII": "half-angle",
-    "CI": "half-angle",
-    "CII": "half-angle",
-    "GRP_c": "half-angle",
-    "GRP_d": "half-angle",
-    "BDI_rank1": "rotation-block",
-    "GRP_bd": "rotation-block",
-}
-
-# Lower bounds on the single parameter n. BDI_split n=1, GRP_d n=1 and
-# GRP_bd n<=2 would give the abelian SO(2) (or smaller), where ad(xi)
-# vanishes identically and no canonical element exists.
-_MIN_N = {
-    "AIII": 1,
-    "BDI_split": 2,
-    "DIII": 1,
-    "CI": 1,
-    "CII": 1,
-    "GRP_bd": 3,
-    "GRP_c": 1,
-    "GRP_d": 2,
-}
+def _no_center(*_) -> tuple:
+    return None, "not configured"
 
 
 @dataclass(frozen=True)
-class SpaceFamily:
-    """A family tag plus its parameter tuple, validated on construction."""
+class FamilySpec:
+    """One family's facts. The callables take the family's parameters,
+    (p, q) or (n,), as trailing positional arguments.
 
-    tag: str
-    params: tuple
+    The three lambda facts are written independently of each other:
+    `membership` decides exp(t*xi) in K exactly from t/pi (a Fraction),
+    `isotropy` decides a unitary matrix g numerically at tolerance tol,
+    and `table_lambda` is the published value."""
 
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise ParameterError(
-                f"unknown family tag {self.tag!r}; expected one of {', '.join(FAMILY_TAGS)}"
-            )
-        params = tuple(int(v) for v in self.params)
-        if any(int(v) != v for v in self.params):
-            raise ParameterError(f"{self.tag}: parameters must be integers, got {self.params!r}")
-        object.__setattr__(self, "params", params)
-        if self.tag in PQ_FAMILIES:
-            if len(params) != 2:
-                raise ParameterError(
-                    f"{self.tag} takes two parameters p, q; got {len(params)}"
-                )
-            p, q = params
-            if not (1 <= p <= q):
-                raise ParameterError(f"{self.tag} requires 1 <= p <= q; got p={p}, q={q}")
-            if self.tag == "BDI_rank1" and p + q < 3:
-                raise ParameterError(
-                    f"BDI_rank1 requires p + q >= 3 (SO(2) is abelian); got p={p}, q={q}"
-                )
-        else:
-            if len(params) != 1:
-                raise ParameterError(
-                    f"{self.tag} takes one parameter n; got {len(params)}"
-                )
-            n = params[0]
-            if n < _MIN_N[self.tag]:
-                raise ParameterError(
-                    f"{self.tag} requires n >= {_MIN_N[self.tag]}; got n={n}"
-                )
-
-    @classmethod
-    def make(cls, tag: str, *params: int) -> "SpaceFamily":
-        return cls(tag, tuple(params))
-
-    @property
-    def p(self) -> int:
-        if self.tag not in PQ_FAMILIES:
-            raise ParameterError(f"{self.tag} has no (p, q) parameters")
-        return self.params[0]
-
-    @property
-    def q(self) -> int:
-        if self.tag not in PQ_FAMILIES:
-            raise ParameterError(f"{self.tag} has no (p, q) parameters")
-        return self.params[1]
-
-    @property
-    def n(self) -> int:
-        if self.tag in PQ_FAMILIES:
-            raise ParameterError(f"{self.tag} has no single parameter n")
-        return self.params[0]
-
-    @property
-    def is_group_type(self) -> bool:
-        return self.tag in GROUP_FAMILIES
-
-    @property
-    def closed_form(self) -> str:
-        return _FORM_BY_TAG[self.tag]
-
-    @property
-    def ambient_dim(self) -> int:
-        tag = self.tag
-        if tag in ("AI", "GRP_a", "BDI_rank1"):
-            return self.p + self.q
-        if tag == "AII":
-            return 2 * (self.p + self.q)
-        if tag in ("AIII", "BDI_split", "CI", "GRP_c", "GRP_d"):
-            return 2 * self.n
-        if tag in ("DIII", "CII"):
-            return 4 * self.n
-        if tag == "GRP_bd":
-            return self.n
-        raise AssertionError(tag)
-
-    @property
-    def cover_multiplier(self) -> int:
-        return 2 if self.tag in ("GRP_bd", "GRP_d") else 1
-
-    def label(self) -> str:
-        return f"{self.tag}({','.join(str(v) for v in self.params)})"
-
-    def space_name(self) -> str:
-        tag = self.tag
-        if tag == "AI":
-            m = self.p + self.q
-            return f"SU({m})/SO({m})"
-        if tag == "AII":
-            m = self.p + self.q
-            return f"SU({2 * m})/Sp({m})"
-        if tag == "AIII":
-            n = self.n
-            return f"SU({2 * n})/S(U({n})xU({n}))"
-        if tag == "BDI_rank1":
-            p, q = self.p, self.q
-            return f"SO({p + q})/SO({p})xSO({q})"
-        if tag == "BDI_split":
-            n = self.n
-            return f"SO({2 * n})/SO({n})xSO({n})"
-        if tag == "DIII":
-            n = self.n
-            return f"SO({4 * n})/U({2 * n})"
-        if tag == "CI":
-            n = self.n
-            return f"Sp({n})/U({n})"
-        if tag == "CII":
-            n = self.n
-            return f"Sp({2 * n})/Sp({n})xSp({n})"
-        if tag == "GRP_a":
-            return f"SU({self.p + self.q})"
-        if tag == "GRP_bd":
-            return f"Spin({self.n})"
-        if tag == "GRP_c":
-            return f"Sp({self.n})"
-        if tag == "GRP_d":
-            return f"Spin({2 * self.n})"
-        raise AssertionError(tag)
-
-    def orbit_name(self) -> str:
-        tag = self.tag
-        if tag == "AI":
-            p, q = self.p, self.q
-            return f"SO({p + q})/S(O({p})xO({q}))"
-        if tag == "AII":
-            p, q = self.p, self.q
-            return f"Sp({p + q})/Sp({p})xSp({q})"
-        if tag == "AIII":
-            return f"U({self.n})"
-        if tag == "BDI_rank1":
-            return f"(S^{self.p - 1}xS^{self.q - 1})/Z2"
-        if tag == "BDI_split":
-            return f"SO({self.n})"
-        if tag == "DIII":
-            n = self.n
-            return f"U({2 * n})/Sp({n})"
-        if tag == "CI":
-            n = self.n
-            return f"U({n})/SO({n})"
-        if tag == "CII":
-            return f"Sp({self.n})"
-        if tag == "GRP_a":
-            p, q = self.p, self.q
-            return f"SU({p + q})/S(U({p})xU({q}))"
-        if tag == "GRP_bd":
-            n = self.n
-            return f"SO({n})/(SO(2)xSO({n - 2}))"
-        if tag == "GRP_c":
-            return f"Sp({self.n})/U({self.n})"
-        if tag == "GRP_d":
-            n = self.n
-            return f"SO({2 * n})/U({n})"
-        raise AssertionError(tag)
-
-    def __str__(self) -> str:
-        return self.label()
+    pq: bool  # parameters 1 <= p <= q, else a single n
+    lower_bound: int  # least p + q, or least n
+    ambient_dim: Callable[..., int]
+    basis: Callable[[int], np.ndarray]  # orthonormal basis of g, (dim g, N, N), from N
+    sigma_conj: bool  # sigma(X) = M @ op(X) @ M*, op conjugating the entries
+    sigma_matrix: Callable[..., np.ndarray]  # M
+    space_name: Callable[..., str]
+    orbit_name: Callable[..., str]
+    closed_form: str  # see linalg.exp_structured
+    canonical: Callable[..., np.ndarray]
+    isotropy: Callable[..., bool]  # (g, tol, *params)
+    membership: Callable[..., bool]  # (t / pi, *params)
+    table_lambda: Callable[..., int]
+    center: Callable[..., tuple] = _no_center  # (order or None, provenance note)
+    cover: int = 1
+    group: bool = False
 
 
 def _eye(n: int) -> np.ndarray:
@@ -287,45 +112,72 @@ def _signature(p: int, q: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
 
 
-def _su_basis(m: int) -> list:
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    size = sum(b.shape[0] for b in blocks)
+    out = np.zeros((size, size), dtype=complex)
+    start = 0
+    for b in blocks:
+        out[start : start + b.shape[0], start : start + b.shape[0]] = b
+        start += b.shape[0]
+    return out
+
+
+def _double_signature(n: int) -> np.ndarray:
+    """diag(I_n, -I_n, I_n, -I_n), the CII involution."""
+    return _block_diag(_signature(n, n), _signature(n, n))
+
+
+def _stacked(dim: Callable[[int], int]):
+    """Decorator: a basis generator's m x m matrices fill one (dim(m), m, m) array.
+    A list of them churns the C heap, and peak memory then varies 20-40 MB by run."""
+
+    def decorate(elements):
+        def build(m: int) -> np.ndarray:
+            return np.fromiter(elements(m), dtype=np.dtype((complex, (m, m))), count=dim(m))
+
+        return build
+
+    return decorate
+
+
+@_stacked(lambda m: m * m - 1)
+def _su_basis(m: int) -> Iterator[np.ndarray]:
     """Orthonormal basis of su(m) under <X,Y> = -Re tr(XY)."""
     rt2 = math.sqrt(2.0)
-    out = []
     for j in range(m):
         for k in range(j + 1, m):
             a = np.zeros((m, m), dtype=complex)
             a[j, k] = 1.0
             a[k, j] = -1.0
-            out.append(a / rt2)
+            yield a / rt2
             s = np.zeros((m, m), dtype=complex)
             s[j, k] = 1j
             s[k, j] = 1j
-            out.append(s / rt2)
+            yield s / rt2
     for l in range(1, m):
         # diagonal direction (1, ..., 1, -l, 0, ..., 0) * i, norm sqrt(l + l^2)
         v = np.zeros(m)
         v[:l] = 1.0
         v[l] = -l
-        out.append(1j * np.diag(v).astype(complex) / math.sqrt(l + l * l))
-    return out
+        yield 1j * np.diag(v).astype(complex) / math.sqrt(l + l * l)
 
 
-def _so_basis(m: int) -> list:
+@_stacked(lambda m: m * (m - 1) // 2)
+def _so_basis(m: int) -> Iterator[np.ndarray]:
     rt2 = math.sqrt(2.0)
-    out = []
     for j in range(m):
         for k in range(j + 1, m):
             a = np.zeros((m, m), dtype=complex)
             a[j, k] = 1.0
             a[k, j] = -1.0
-            out.append(a / rt2)
-    return out
+            yield a / rt2
 
 
-def _sp_basis(n: int) -> list:
-    """Orthonormal basis of sp(n) inside u(2n): X = [[P, Q], [-Q*, -P^T]]
-    with P anti-Hermitian and Q complex symmetric."""
-    big = 2 * n
+@_stacked(lambda big: big * (big + 1) // 2)
+def _sp_basis(big: int) -> Iterator[np.ndarray]:
+    """Orthonormal basis of sp(n) inside u(2n), big = 2n:
+    X = [[P, Q], [-Q*, -P^T]] with P anti-Hermitian and Q complex symmetric."""
+    n = big // 2
     rt2 = math.sqrt(2.0)
 
     def embed_p(pmat):
@@ -340,79 +192,354 @@ def _sp_basis(n: int) -> list:
         x[n:, :n] = -qmat.conj().T
         return x
 
-    out = []
     for j in range(n):
         p = np.zeros((n, n), dtype=complex)
         p[j, j] = 1j
-        out.append(embed_p(p) / rt2)
+        yield embed_p(p) / rt2
     for j in range(n):
         for k in range(j + 1, n):
             p = np.zeros((n, n), dtype=complex)
             p[j, k] = 1.0
             p[k, j] = -1.0
-            out.append(embed_p(p) / 2.0)
+            yield embed_p(p) / 2.0
             p = np.zeros((n, n), dtype=complex)
             p[j, k] = 1j
             p[k, j] = 1j
-            out.append(embed_p(p) / 2.0)
+            yield embed_p(p) / 2.0
     for j in range(n):
         q = np.zeros((n, n), dtype=complex)
         q[j, j] = 1.0
-        out.append(embed_q(q) / rt2)
+        yield embed_q(q) / rt2
         q = np.zeros((n, n), dtype=complex)
         q[j, j] = 1j
-        out.append(embed_q(q) / rt2)
+        yield embed_q(q) / rt2
     for j in range(n):
         for k in range(j + 1, n):
             q = np.zeros((n, n), dtype=complex)
             q[j, k] = 1.0
             q[k, j] = 1.0
-            out.append(embed_q(q) / 2.0)
+            yield embed_q(q) / 2.0
             q = np.zeros((n, n), dtype=complex)
             q[j, k] = 1j
             q[k, j] = 1j
-            out.append(embed_q(q) / 2.0)
-    return out
+            yield embed_q(q) / 2.0
 
 
-def _vecs(tensor: np.ndarray) -> np.ndarray:
-    """Stack of real flattenings, one row per matrix."""
-    d = tensor.shape[0]
-    return np.concatenate(
-        [tensor.real.reshape(d, -1), tensor.imag.reshape(d, -1)], axis=1
+# Canonical elements of extrinsically symmetric type.
+
+
+def _phase_element(p: int, q: int, copies: int = 1) -> np.ndarray:
+    """i*diag(a I_p, b I_q), repeated `copies` times, a = -q/(p+q), b = p/(p+q)."""
+    a = -q / (p + q)
+    b = p / (p + q)
+    diag = np.tile(np.concatenate([np.full(p, a), np.full(q, b)]), copies)
+    return 1j * np.diag(diag).astype(complex)
+
+
+def _rotation(p: int, m: int) -> np.ndarray:
+    """The rank-one rotation E_{0,p} - E_{p,0} in so(m)."""
+    xi = np.zeros((m, m), dtype=complex)
+    xi[0, p] = 1.0
+    xi[p, 0] = -1.0
+    return xi
+
+
+def _half_swap(n: int, blocks: int) -> np.ndarray:
+    """i/2 times the block anti-diagonal matrix of `blocks` copies of I_n."""
+    xi = np.zeros((blocks * n, blocks * n), dtype=complex)
+    for row in range(blocks):
+        col = blocks - 1 - row
+        xi[row * n : (row + 1) * n, col * n : (col + 1) * n] = np.eye(n)
+    return 0.5j * xi
+
+
+# Isotropy predicates: membership of a unitary g in K at tolerance tol.
+
+
+def _det_one(g: np.ndarray, tol: float) -> bool:
+    return abs(np.linalg.det(g) - 1.0) <= max(tol, 1e-9)
+
+
+def _commutes(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
+    return float(np.max(np.abs(a @ b - b @ a))) <= eps
+
+
+def _in_so_times_so(g: np.ndarray, tol: float, p: int, q: int) -> bool:
+    """g in SO(p) x SO(q), block diagonal in the signature splitting."""
+    return (
+        is_real_matrix(g, tol)
+        and _commutes(g, _signature(p, q), tol)
+        and all(_det_one(block, tol) for block in (g[:p, :p], g[p:, p:]))
     )
 
 
-def _sigma_data(family: SpaceFamily) -> tuple:
-    """(conjugate_entries, M) with sigma(X) = M @ op(X) @ M*."""
-    tag = family.tag
-    if tag in ("AI", "GRP_a"):
-        return True, _eye(family.ambient_dim)
-    if tag == "AII":
-        return True, _j_matrix(family.p + family.q)
-    if tag == "AIII":
-        return False, _signature(family.n, family.n)
-    if tag == "BDI_rank1":
-        return False, _signature(family.p, family.q)
-    if tag == "BDI_split":
-        return False, _signature(family.n, family.n)
-    if tag == "DIII":
-        return False, _j_matrix(2 * family.n)
-    if tag == "CI":
-        return False, _j_matrix(family.n)
-    if tag == "CII":
-        d = _signature(family.n, family.n)
-        m = np.zeros((4 * family.n, 4 * family.n), dtype=complex)
-        m[: 2 * family.n, : 2 * family.n] = d
-        m[2 * family.n :, 2 * family.n :] = d
-        return False, m
-    if tag == "GRP_bd":
-        return False, _signature(1, family.n - 1)
-    if tag == "GRP_c":
-        return False, _j_matrix(family.n)
-    if tag == "GRP_d":
-        return False, _signature(family.n, family.n)
-    raise AssertionError(tag)
+def _quaternionic(g: np.ndarray, tol: float, p: int, q: int) -> bool:
+    """g commutes with the quaternionic structure: g J = J conj(g)."""
+    j = _j_matrix(p + q)
+    return float(np.max(np.abs(g @ j - j @ g.conj()))) <= tol
+
+
+def _in_sp_times_sp(g: np.ndarray, tol: float, n: int) -> bool:
+    """g symplectic for J_2n and commuting with the CII involution."""
+    j = _j_matrix(2 * n)
+    symplectic = float(np.max(np.abs(g.T @ j @ g - j))) <= tol
+    return symplectic and _commutes(g, _double_signature(n), tol)
+
+
+def _squares_to_one(g: np.ndarray, tol: float, *_) -> bool:
+    """Group families: exp(t xi) = exp(-t xi) iff g^2 = I."""
+    return float(np.max(np.abs(g @ g - np.eye(g.shape[0])))) <= tol
+
+
+# Stated membership rules, on f = t/pi.
+
+
+def _phase_rule(f, p: int, q: int) -> bool:
+    """t*a and t*b in pi*Z for the phases a, b of the diagonal element."""
+    return (f * q) % (p + q) == 0 and (f * p) % (p + q) == 0
+
+
+def _even_rule(f, *_) -> bool:
+    """t in 2*pi*Z."""
+    return f % 2 == 0
+
+
+def _phase_lambda(p: int, q: int) -> int:
+    return (p + q) // math.gcd(p, q)
+
+
+def _spin_center(n: int) -> tuple:
+    if n % 2 == 1:
+        return 2, f"center of Spin({n}) for odd n is Z_2"
+    return 4, f"center of Spin({n}) for even n has order 4"
+
+
+_FAMILIES = {
+    "AI": FamilySpec(
+        pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q, basis=_su_basis,
+        sigma_conj=True, sigma_matrix=lambda p, q: _eye(p + q),
+        space_name=lambda p, q: f"SU({p + q})/SO({p + q})",
+        orbit_name=lambda p, q: f"SO({p + q})/S(O({p})xO({q}))",
+        closed_form="diagonal-phase", canonical=_phase_element,
+        isotropy=lambda g, tol, p, q: is_real_matrix(g, tol) and _det_one(g, tol),
+        membership=_phase_rule, table_lambda=_phase_lambda,
+        center=lambda p, q: (
+            (3, "isometry group SU(6)/Z_2 has center of order 3") if p + q == 6 else _no_center()
+        ),
+    ),
+    "AII": FamilySpec(
+        pq=True, lower_bound=2, ambient_dim=lambda p, q: 2 * (p + q), basis=_su_basis,
+        sigma_conj=True, sigma_matrix=lambda p, q: _j_matrix(p + q),
+        space_name=lambda p, q: f"SU({2 * (p + q)})/Sp({p + q})",
+        orbit_name=lambda p, q: f"Sp({p + q})/Sp({p})xSp({q})",
+        closed_form="diagonal-phase", canonical=lambda p, q: _phase_element(p, q, copies=2),
+        isotropy=_quaternionic, membership=_phase_rule, table_lambda=_phase_lambda,
+    ),
+    "AIII": FamilySpec(
+        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n, basis=_su_basis,
+        sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
+        space_name=lambda n: f"SU({2 * n})/S(U({n})xU({n}))",
+        orbit_name=lambda n: f"U({n})",
+        closed_form="half-angle", canonical=lambda n: _half_swap(n, 2),
+        isotropy=lambda g, tol, n: _commutes(g, _signature(n, n), tol) and _det_one(g, tol),
+        membership=_even_rule, table_lambda=lambda n: 2,
+    ),
+    "BDI_rank1": FamilySpec(
+        # p + q = 2 would give the abelian SO(2).
+        pq=True, lower_bound=3, ambient_dim=lambda p, q: p + q, basis=_so_basis,
+        sigma_conj=False, sigma_matrix=_signature,
+        space_name=lambda p, q: f"SO({p + q})/SO({p})xSO({q})",
+        orbit_name=lambda p, q: f"(S^{p - 1}xS^{q - 1})/Z2",
+        closed_form="rotation-block", canonical=lambda p, q: _rotation(p, p + q),
+        # Block determinants rule out the odd multiples of pi.
+        isotropy=_in_so_times_so, membership=_even_rule,
+        table_lambda=lambda p, q: 2,
+    ),
+    "BDI_split": FamilySpec(
+        # n = 1 would give the abelian SO(2).
+        pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n, basis=_so_basis,
+        sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
+        space_name=lambda n: f"SO({2 * n})/SO({n})xSO({n})",
+        orbit_name=lambda n: f"SO({n})",
+        closed_form="half-angle", canonical=lambda n: 0.5 * _j_matrix(n),
+        isotropy=lambda g, tol, n: _in_so_times_so(g, tol, n, n),
+        # Block-determinant parity: odd n needs t in 4*pi*Z.
+        membership=lambda f, n: f % 2 == 0 and (n % 2 == 0 or f % 4 == 0),
+        table_lambda=lambda n: 2 if n % 2 == 0 else 4,
+    ),
+    "DIII": FamilySpec(
+        pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n, basis=_so_basis,
+        sigma_conj=False, sigma_matrix=lambda n: _j_matrix(2 * n),
+        space_name=lambda n: f"SO({4 * n})/U({2 * n})",
+        orbit_name=lambda n: f"U({2 * n})/Sp({n})",
+        closed_form="half-angle",
+        canonical=lambda n: 0.5 * _block_diag(_j_matrix(n), -_j_matrix(n)),
+        isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _commutes(g, _j_matrix(2 * n), tol),
+        membership=_even_rule, table_lambda=lambda n: 2,
+    ),
+    "CI": FamilySpec(
+        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n, basis=_sp_basis,
+        sigma_conj=False, sigma_matrix=_j_matrix,
+        space_name=lambda n: f"Sp({n})/U({n})",
+        orbit_name=lambda n: f"U({n})/SO({n})",
+        closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
+        isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _commutes(g, _j_matrix(n), tol),
+        membership=_even_rule, table_lambda=lambda n: 2,
+    ),
+    "CII": FamilySpec(
+        pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n, basis=_sp_basis,
+        sigma_conj=False, sigma_matrix=_double_signature,
+        space_name=lambda n: f"Sp({2 * n})/Sp({n})xSp({n})",
+        orbit_name=lambda n: f"Sp({n})",
+        closed_form="half-angle", canonical=lambda n: _half_swap(n, 4),
+        isotropy=_in_sp_times_sp, membership=_even_rule, table_lambda=lambda n: 2,
+    ),
+    "GRP_a": FamilySpec(
+        pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q, basis=_su_basis,
+        sigma_conj=True, sigma_matrix=lambda p, q: _eye(p + q),
+        space_name=lambda p, q: f"SU({p + q})",
+        orbit_name=lambda p, q: f"SU({p + q})/S(U({p})xU({q}))",
+        closed_form="diagonal-phase", canonical=_phase_element,
+        isotropy=_squares_to_one, membership=_phase_rule, table_lambda=_phase_lambda,
+        center=lambda p, q: (p + q, f"center of the simply connected SU({p + q}) is Z_{p + q}"),
+        group=True,
+    ),
+    "GRP_bd": FamilySpec(
+        # n <= 2 would give the abelian SO(2) or less.
+        pq=False, lower_bound=3, ambient_dim=lambda n: n, basis=_so_basis,
+        sigma_conj=False, sigma_matrix=lambda n: _signature(1, n - 1),
+        space_name=lambda n: f"Spin({n})",
+        orbit_name=lambda n: f"SO({n})/(SO(2)xSO({n - 2}))",
+        closed_form="rotation-block", canonical=lambda n: _rotation(1, n),
+        isotropy=_squares_to_one, membership=lambda f, n: f % 1 == 0,
+        table_lambda=lambda n: 2, center=_spin_center, cover=2, group=True,
+    ),
+    "GRP_c": FamilySpec(
+        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n, basis=_sp_basis,
+        sigma_conj=False, sigma_matrix=_j_matrix,
+        space_name=lambda n: f"Sp({n})",
+        orbit_name=lambda n: f"Sp({n})/U({n})",
+        closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
+        isotropy=_squares_to_one, membership=_even_rule, table_lambda=lambda n: 2,
+        center=lambda n: (2, f"center of Sp({n}) is Z_2"), group=True,
+    ),
+    "GRP_d": FamilySpec(
+        # n = 1 would give the abelian SO(2).
+        pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n, basis=_so_basis,
+        sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
+        space_name=lambda n: f"Spin({2 * n})",
+        orbit_name=lambda n: f"SO({2 * n})/U({n})",
+        closed_form="half-angle", canonical=lambda n: 0.5 * _j_matrix(n),
+        isotropy=_squares_to_one, membership=_even_rule, table_lambda=lambda n: 4,
+        center=lambda n: _spin_center(2 * n), cover=2, group=True,
+    ),
+}
+
+FAMILY_TAGS = tuple(_FAMILIES)
+
+# Families parametrized by a pair 1 <= p <= q; the rest take a single n.
+PQ_FAMILIES = frozenset(tag for tag, spec in _FAMILIES.items() if spec.pq)
+GROUP_FAMILIES = frozenset(tag for tag, spec in _FAMILIES.items() if spec.group)
+
+
+@dataclass(frozen=True)
+class SpaceFamily:
+    """A family tag plus its parameter tuple, validated on construction."""
+
+    tag: str
+    params: tuple
+
+    def __post_init__(self):
+        spec = _FAMILIES.get(self.tag)
+        if spec is None:
+            raise ParameterError(
+                f"unknown family tag {self.tag!r}; expected one of {', '.join(FAMILY_TAGS)}"
+            )
+        try:
+            params = tuple(int(v) for v in self.params)
+            integral = all(i == v for i, v in zip(params, self.params))
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ParameterError(f"{self.tag}: parameters must be integers, got {self.params!r}")
+        object.__setattr__(self, "params", params)
+        if spec.pq:
+            if len(params) != 2:
+                raise ParameterError(
+                    f"{self.tag} takes two parameters p, q; got {len(params)}"
+                )
+            p, q = params
+            if not (1 <= p <= q):
+                raise ParameterError(f"{self.tag} requires 1 <= p <= q; got p={p}, q={q}")
+            if p + q < spec.lower_bound:
+                raise ParameterError(
+                    f"{self.tag} requires p + q >= {spec.lower_bound} (SO(2) is abelian); "
+                    f"got p={p}, q={q}"
+                )
+        else:
+            if len(params) != 1:
+                raise ParameterError(
+                    f"{self.tag} takes one parameter n; got {len(params)}"
+                )
+            n = params[0]
+            if n < spec.lower_bound:
+                raise ParameterError(
+                    f"{self.tag} requires n >= {spec.lower_bound}; got n={n}"
+                )
+
+    @classmethod
+    def make(cls, tag: str, *params: int) -> "SpaceFamily":
+        return cls(tag, tuple(params))
+
+    @property
+    def _spec(self) -> FamilySpec:
+        return _FAMILIES[self.tag]
+
+    @property
+    def p(self) -> int:
+        if not self._spec.pq:
+            raise ParameterError(f"{self.tag} has no (p, q) parameters")
+        return self.params[0]
+
+    @property
+    def q(self) -> int:
+        if not self._spec.pq:
+            raise ParameterError(f"{self.tag} has no (p, q) parameters")
+        return self.params[1]
+
+    @property
+    def n(self) -> int:
+        if self._spec.pq:
+            raise ParameterError(f"{self.tag} has no single parameter n")
+        return self.params[0]
+
+    @property
+    def is_group_type(self) -> bool:
+        return self._spec.group
+
+    @property
+    def closed_form(self) -> str:
+        return self._spec.closed_form
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._spec.ambient_dim(*self.params)
+
+    @property
+    def cover_multiplier(self) -> int:
+        return self._spec.cover
+
+    def label(self) -> str:
+        return f"{self.tag}({','.join(str(v) for v in self.params)})"
+
+    def space_name(self) -> str:
+        return self._spec.space_name(*self.params)
+
+    def orbit_name(self) -> str:
+        return self._spec.orbit_name(*self.params)
+
+    def __str__(self) -> str:
+        return self.label()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -482,27 +609,6 @@ class SpaceInstance:
         )
 
 
-def _center_data(family: SpaceFamily) -> tuple:
-    """(order or None, provenance note)."""
-    tag = family.tag
-    if tag == "GRP_a":
-        m = family.p + family.q
-        return m, f"center of the simply connected SU({m}) is Z_{m}"
-    if tag == "GRP_c":
-        return 2, f"center of Sp({family.n}) is Z_2"
-    if tag == "GRP_bd":
-        n = family.n
-        if n % 2 == 1:
-            return 2, f"center of Spin({n}) for odd n is Z_2"
-        return 4, f"center of Spin({n}) for even n has order 4"
-    if tag == "GRP_d":
-        n = 2 * family.n
-        return 4, f"center of Spin({n}) for even n has order 4"
-    if tag == "AI" and family.p + family.q == 6:
-        return 3, "isometry group SU(6)/Z_2 has center of order 3"
-    return None, "not configured"
-
-
 def build_space(family: SpaceFamily) -> SpaceInstance:
     """Assemble the matrix realization of a family member.
 
@@ -510,23 +616,15 @@ def build_space(family: SpaceFamily) -> SpaceInstance:
     becomes a symmetric orthogonal matrix in coordinates and the k/p
     dimensions drop out of its trace.
     """
-    tag = family.tag
+    spec = family._spec
     n_amb = family.ambient_dim
-    if tag in ("AI", "AII", "AIII", "GRP_a"):
-        basis = _su_basis(n_amb)
-    elif tag in ("BDI_rank1", "BDI_split", "DIII", "GRP_bd", "GRP_d"):
-        basis = _so_basis(n_amb)
-    elif tag in ("CI", "CII", "GRP_c"):
-        basis = _sp_basis(n_amb // 2)
-    else:
-        raise AssertionError(tag)
-
-    tensor = np.stack(basis)
-    vecs = _vecs(tensor)
-    conj, smat = _sigma_data(family)
+    tensor = spec.basis(n_amb)
+    vecs = mat_to_vec(tensor)
+    conj = spec.sigma_conj
+    smat = spec.sigma_matrix(*family.params)
     core = tensor.conj() if conj else tensor
     sig_tensor = smat @ core @ smat.conj().T
-    sigma_coords = vecs @ _vecs(sig_tensor).T
+    sigma_coords = vecs @ mat_to_vec(sig_tensor).T
 
     d = tensor.shape[0]
     trace = float(np.trace(sigma_coords))
@@ -537,7 +635,7 @@ def build_space(family: SpaceFamily) -> SpaceInstance:
             f"{family}: involution trace {trace} does not give an integral k-dimension"
         )
 
-    order, provenance = _center_data(family)
+    order, provenance = spec.center(*family.params)
     return SpaceInstance(
         family=family,
         ambient_dim=n_amb,
@@ -561,60 +659,7 @@ def canonical_element(family: SpaceFamily) -> np.ndarray:
     b = p/(p+q) (duplicated across both blocks for AII); the rest are the
     standard half-swap, rank-one rotation, or J-block matrices.
     """
-    tag = family.tag
-    n_amb = family.ambient_dim
-    if tag in ("AI", "GRP_a", "AII"):
-        p, q = family.p, family.q
-        a = -q / (p + q)
-        b = p / (p + q)
-        diag = np.concatenate([np.full(p, a), np.full(q, b)])
-        if tag == "AII":
-            diag = np.concatenate([diag, diag])
-        return 1j * np.diag(diag).astype(complex)
-    if tag == "AIII":
-        n = family.n
-        xi = np.zeros((n_amb, n_amb), dtype=complex)
-        xi[:n, n:] = np.eye(n)
-        xi[n:, :n] = np.eye(n)
-        return 0.5j * xi
-    if tag in ("BDI_rank1", "GRP_bd"):
-        p = family.p if tag == "BDI_rank1" else 1
-        xi = np.zeros((n_amb, n_amb), dtype=complex)
-        xi[0, p] = 1.0
-        xi[p, 0] = -1.0
-        return xi
-    if tag in ("BDI_split", "GRP_d"):
-        return 0.5 * _j_matrix(family.n)
-    if tag == "DIII":
-        n = family.n
-        xi = np.zeros((n_amb, n_amb), dtype=complex)
-        xi[: 2 * n, : 2 * n] = _j_matrix(n)
-        xi[2 * n :, 2 * n :] = -_j_matrix(n)
-        return 0.5 * xi
-    if tag in ("CI", "GRP_c"):
-        n = family.n
-        return 0.5j * _signature(n, n)
-    if tag == "CII":
-        n = family.n
-        xi = np.zeros((n_amb, n_amb), dtype=complex)
-        for row, col in ((0, 3), (1, 2), (2, 1), (3, 0)):
-            xi[row * n : (row + 1) * n, col * n : (col + 1) * n] = np.eye(n)
-        return 0.5j * xi
-    raise AssertionError(tag)
-
-
-def _block_dets_are_one(g: np.ndarray, sizes: tuple, eps: float) -> bool:
-    start = 0
-    for size in sizes:
-        block = g[start : start + size, start : start + size]
-        if abs(np.linalg.det(block) - 1.0) > max(eps, 1e-9):
-            return False
-        start += size
-    return True
-
-
-def _commutes(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
-    return float(np.max(np.abs(a @ b - b @ a))) <= eps
+    return family._spec.canonical(*family.params)
 
 
 def isotropy_contains(space: SpaceInstance, g, eps: float | None = None) -> bool:
@@ -628,48 +673,8 @@ def isotropy_contains(space: SpaceInstance, g, eps: float | None = None) -> bool
         )
     if not is_unitary(m, tol):
         raise NotUnitaryError(f"{space.family}: isotropy test requires a unitary matrix")
-
     family = space.family
-    tag = family.tag
-    n_amb = space.ambient_dim
-
-    if tag in GROUP_FAMILIES:
-        return float(np.max(np.abs(m @ m - np.eye(n_amb)))) <= tol
-
-    if tag == "AI":
-        return is_real_matrix(m, tol) and abs(np.linalg.det(m) - 1.0) <= max(tol, 1e-9)
-    if tag == "AII":
-        j = _j_matrix(family.p + family.q)
-        return float(np.max(np.abs(m @ j - j @ m.conj()))) <= tol
-    if tag == "AIII":
-        s = _signature(family.n, family.n)
-        return _commutes(m, s, tol) and abs(np.linalg.det(m) - 1.0) <= max(tol, 1e-9)
-    if tag == "BDI_rank1":
-        s = _signature(family.p, family.q)
-        return (
-            is_real_matrix(m, tol)
-            and _commutes(m, s, tol)
-            and _block_dets_are_one(m, (family.p, family.q), tol)
-        )
-    if tag == "BDI_split":
-        n = family.n
-        s = _signature(n, n)
-        return (
-            is_real_matrix(m, tol)
-            and _commutes(m, s, tol)
-            and _block_dets_are_one(m, (n, n), tol)
-        )
-    if tag == "DIII":
-        return is_real_matrix(m, tol) and _commutes(m, _j_matrix(2 * family.n), tol)
-    if tag == "CI":
-        return is_real_matrix(m, tol) and _commutes(m, _j_matrix(family.n), tol)
-    if tag == "CII":
-        n = family.n
-        j = _j_matrix(2 * n)
-        symplectic = float(np.max(np.abs(m.T @ j @ m - j))) <= tol
-        _, s = _sigma_data(family)
-        return symplectic and _commutes(m, s, tol)
-    raise AssertionError(tag)
+    return family._spec.isotropy(m, tol, *family.params)
 
 
 def stated_membership(family: SpaceFamily, t: RationalAngle) -> bool:
@@ -681,58 +686,45 @@ def stated_membership(family: SpaceFamily, t: RationalAngle) -> bool:
     for the split orthogonal family. Rank-one rotation: t in 2*pi*Z
     (block dets rule out odd multiples of pi); group rotation: t in pi*Z.
     """
-    tag = family.tag
-    f = t.fraction
-    if tag in ("AI", "AII", "GRP_a"):
-        p, q = family.p, family.q
-        return (f * q) % (p + q) == 0 and (f * p) % (p + q) == 0
-    if tag in ("AIII", "DIII", "CI", "CII", "GRP_c", "GRP_d"):
-        return f % 2 == 0
-    if tag == "BDI_rank1":
-        return f % 2 == 0
-    if tag == "BDI_split":
-        if f % 2 != 0:
-            return False
-        return family.n % 2 == 0 or f % 4 == 0
-    if tag == "GRP_bd":
-        return f % 1 == 0
-    raise AssertionError(tag)
+    return family._spec.membership(t.fraction, *family.params)
 
 
 def sweep_families(cap: int) -> Iterator[SpaceFamily]:
     """All valid families with every parameter <= cap, in catalog order."""
     if cap < 1:
         raise ParameterError(f"parameter cap must be >= 1, got {cap}")
-    for tag in FAMILY_TAGS:
-        if tag in PQ_FAMILIES:
+    for tag, spec in _FAMILIES.items():
+        if spec.pq:
             for p in range(1, cap + 1):
-                for q in range(p, cap + 1):
-                    try:
-                        yield SpaceFamily.make(tag, p, q)
-                    except ParameterError:
-                        continue
+                for q in range(max(p, spec.lower_bound - p), cap + 1):
+                    yield SpaceFamily(tag, (p, q))
         else:
-            for n in range(1, cap + 1):
-                try:
-                    yield SpaceFamily.make(tag, n)
-                except ParameterError:
-                    continue
+            for n in range(spec.lower_bound, cap + 1):
+                yield SpaceFamily(tag, (n,))
 
 
-def catalog_entry(space: SpaceInstance) -> dict:
-    """JSON-ready description of one catalog row."""
-    family = space.family
+def _shared_json(source) -> dict:
+    """The keys every serialized row starts with, from a SpaceInstance or a
+    SpindleReport (both carry family, center_order and cover_multiplier)."""
+    family = source.family
     return {
         "family": family.tag,
         "params": list(family.params),
         "space": family.space_name(),
         "orbit": family.orbit_name(),
+        "center_order": source.center_order,
+        "cover_multiplier": source.cover_multiplier,
+    }
+
+
+def catalog_entry(space: SpaceInstance) -> dict:
+    """JSON-ready description of one catalog row."""
+    return {
+        **_shared_json(space),
         "ambient_dim": space.ambient_dim,
         "dim_g": space.dim_g,
         "dim_k": space.k_dim,
         "dim_p": space.p_dim,
-        "center_order": space.center_order,
         "center_provenance": space.center_provenance,
-        "cover_multiplier": space.cover_multiplier,
-        "closed_form": family.closed_form,
+        "closed_form": space.family.closed_form,
     }

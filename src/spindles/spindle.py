@@ -36,10 +36,18 @@ from .errors import (
     ParameterError,
     SpectrumBucketingError,
 )
-from .linalg import RationalAngle, ensure_square, exp_generic, rationalize, resolve_eps
+from .linalg import (
+    RationalAngle,
+    ensure_square,
+    exp_generic,
+    mat_to_vec,
+    rationalize,
+    resolve_eps,
+)
 from .spaces import (
     SpaceFamily,
     SpaceInstance,
+    _shared_json,
     canonical_element,
     isotropy_contains,
     stated_membership,
@@ -137,11 +145,7 @@ def ad_matrix(space: SpaceInstance, xi, eps: float | None = None) -> np.ndarray:
             f"{space.family}: element is not in the (-1) eigenspace of the involution"
         )
     brackets = m[None, :, :] @ space.basis_tensor - space.basis_tensor @ m[None, :, :]
-    d = space.dim_g
-    cols = np.concatenate(
-        [brackets.real.reshape(d, -1), brackets.imag.reshape(d, -1)], axis=1
-    )
-    return space.basis_vecs @ cols.T
+    return space.basis_vecs @ mat_to_vec(brackets).T
 
 
 def _bucket(values: np.ndarray, tol: float) -> list:
@@ -155,8 +159,9 @@ def _bucket(values: np.ndarray, tol: float) -> list:
     return groups
 
 
-def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> AdSpectrum:
-    d = space.dim_g
+def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
+    """(spectrum, nu, u): the AdSpectrum of ad(xi) from its matrix, with the
+    square roots nu of the eigenvalues of -ad(xi)^2 and their eigenvectors u."""
     sq = -(admat @ admat)
     w, u = np.linalg.eigh((sq + sq.T) / 2.0)
     nu = np.sqrt(np.clip(w, 0.0, None))
@@ -209,7 +214,7 @@ def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> AdSpectrum:
             f"{space.family}: multiplicities sum to ({spec.dim_k}, {spec.dim_p}), "
             f"expected ({space.k_dim}, {space.p_dim})"
         )
-    return spec
+    return spec, nu, u
 
 
 def ad_spectrum(space: SpaceInstance, xi, eps: float | None = None) -> AdSpectrum:
@@ -220,7 +225,7 @@ def ad_spectrum(space: SpaceInstance, xi, eps: float | None = None) -> AdSpectru
     snaps near-integer bucket means, and splits each eigenspace between
     k and p by the trace of the conjugated involution.
     """
-    return _spectrum_from_ad(space, ad_matrix(space, xi, eps))
+    return _spectrum_from_ad(space, ad_matrix(space, xi, eps))[0]
 
 
 def is_canonical(spec: AdSpectrum, tol: float = BUCKET_TOL) -> bool:
@@ -284,12 +289,15 @@ def normalize_canonical(space: SpaceInstance, xi, eps: float | None = None) -> n
     return c * m
 
 
+def _is_ext_sym(a: np.ndarray, eps: float | None) -> bool:
+    """The extrinsically symmetric test ad^3 = -ad on the matrix a of ad(xi)."""
+    return float(np.max(np.abs(a @ a @ a + a))) <= resolve_eps(eps)
+
+
 def is_extrinsically_symmetric_type(space: SpaceInstance, xi, eps: float | None = None) -> bool:
     """True iff ad(xi)^3 = -ad(xi) as operators on g, i.e. the only
     frequencies are 0 and 1."""
-    a = ad_matrix(space, xi, eps)
-    residual = a @ a @ a + a
-    return float(np.max(np.abs(residual))) <= resolve_eps(eps)
+    return _is_ext_sym(ad_matrix(space, xi, eps), eps)
 
 
 def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSplit:
@@ -299,17 +307,12 @@ def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSp
     intersected with the +-1 eigenspaces of the involution, then mapped
     back to matrices.
     """
-    admat = ad_matrix(space, xi, eps)
-    spec = _spectrum_from_ad(space, admat)
+    spec, nu, u = _spectrum_from_ad(space, ad_matrix(space, xi, eps))
     if not is_canonical(spec):
         raise NotCanonicalError(
             f"{space.family}: cartan_split requires a canonical element, "
             f"got frequencies {spec.frequencies}"
         )
-
-    sq = -(admat @ admat)
-    w, u = np.linalg.eigh((sq + sq.T) / 2.0)
-    nu = np.sqrt(np.clip(w, 0.0, None))
     s = space.sigma_coords
 
     def split_cluster(cols: np.ndarray) -> tuple:
@@ -427,17 +430,7 @@ def classify_time(t, eps: float | None = None) -> str:
 
 def closed_form_lambda(family: SpaceFamily) -> int:
     """The published table value, as pure integer arithmetic."""
-    tag = family.tag
-    if tag in ("AI", "AII", "GRP_a"):
-        d = math.gcd(family.p, family.q)
-        return (family.p + family.q) // d
-    if tag in ("AIII", "BDI_rank1", "DIII", "CI", "CII", "GRP_bd", "GRP_c"):
-        return 2
-    if tag == "BDI_split":
-        return 2 if family.n % 2 == 0 else 4
-    if tag == "GRP_d":
-        return 4
-    raise AssertionError(tag)
+    return family._spec.table_lambda(*family.params)
 
 
 def method_exact(family: SpaceFamily) -> int:
@@ -504,10 +497,8 @@ def adjoint_conjugation_flags(space: SpaceInstance, xi, eps: float | None = None
     tol = resolve_eps(eps)
     g = exp_generic(xi, math.pi, eps)
     conj = g[None, :, :] @ space.basis_tensor @ g.conj().T[None, :, :]
-    d = space.dim_g
-    cols = np.concatenate([conj.real.reshape(d, -1), conj.imag.reshape(d, -1)], axis=1)
-    ad_g = space.basis_vecs @ cols.T
-    order_two = float(np.max(np.abs(ad_g @ ad_g - np.eye(d)))) <= tol
+    ad_g = space.basis_vecs @ mat_to_vec(conj).T
+    order_two = float(np.max(np.abs(ad_g @ ad_g - np.eye(space.dim_g)))) <= tol
     s = space.sigma_coords
     commutes = float(np.max(np.abs(s @ ad_g - ad_g @ s))) <= tol
     return order_two, commutes
@@ -555,10 +546,7 @@ class SpindleReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "family": self.family.tag,
-            "params": list(self.family.params),
-            "space": self.family.space_name(),
-            "orbit": self.family.orbit_name(),
+            **_shared_json(self),
             "lambda": self.lambda_,
             "method_exact": self.method_exact,
             "method_numeric": self.method_numeric,
@@ -578,8 +566,6 @@ class SpindleReport:
                 {"t_over_pi": str(t.fraction), "dim": dim} for t, dim in self.slice_profile
             ],
             "geodesic_length_over_norm": str(self.geodesic_length_over_norm),
-            "center_order": self.center_order,
-            "cover_multiplier": self.cover_multiplier,
             "checks": dict(self.checks),
         }
 
@@ -611,7 +597,7 @@ def _report_checks(space, xi, spec, lam, ext_sym, exact, numeric, eps) -> dict:
             break
     checks["jacobi_zero_iff_knot"] = lattice_ok
 
-    dims = {k: slice_dimension(spec, k * math.pi / 60.0) for k in range(-240, 241)}
+    dims = {k: slice_dimension(spec, k * math.pi / 60.0, eps) for k in range(-240, 241)}
     checks["slice_zero_iff_knot"] = all(
         (dims[k] == 0) == (k % 60 == 0) for k in dims
     )
@@ -650,13 +636,13 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
     m = ensure_square(xi)
 
     admat = ad_matrix(space, m, eps)
-    spec = _spectrum_from_ad(space, admat)
+    spec = _spectrum_from_ad(space, admat)[0]
     if not is_canonical(spec):
         raise NotCanonicalError(
             f"{space.family}: spindle_number requires a canonical element, "
             f"got frequencies {spec.frequencies}"
         )
-    ext_sym = float(np.max(np.abs(admat @ admat @ admat + admat))) <= resolve_eps(eps)
+    ext_sym = _is_ext_sym(admat, eps)
 
     exact = method_exact(space.family)
     numeric = method_numeric(space, m, eps)
@@ -669,7 +655,7 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
     knots = tuple(RationalAngle(n) for n in range(lam))
     centrioles = tuple(RationalAngle(2 * n + 1, 2) for n in range(lam))
     profile = tuple(
-        (RationalAngle(k, 12), slice_dimension(spec, RationalAngle(k, 12)))
+        (RationalAngle(k, 12), slice_dimension(spec, RationalAngle(k, 12), eps))
         for k in range(12 * lam + 1)
     )
 

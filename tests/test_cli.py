@@ -95,6 +95,27 @@ class TestAnalyze:
         assert "single parameter" in err
 
 
+class TestEps:
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_flag_exit_2(self, capsys, value):
+        code, _, err = run(capsys, f"--eps={value}", "analyze", "AI", "1", "2")
+        assert code == 2
+        assert "--eps must be a finite number > 0" in err
+
+    def test_bad_environment_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPINDLE_EPS", "abc")
+        code, _, err = run(capsys, "analyze", "AI", "1", "2")
+        assert code == 2
+        assert "SPINDLE_EPS must be a finite number > 0, got 'abc'" in err
+
+    def test_flag_overrides_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPINDLE_EPS", "abc")
+        path = tmp_path / "t.json"
+        code, _, _ = run(capsys, "--eps", "1e-8", "table", "--cap", "1", "--json", str(path))
+        assert code == 0
+        assert json.loads(path.read_text())["eps"] == 1e-8
+
+
 class TestProfile:
     def test_grid_and_classification(self, capsys):
         code, out, _ = run(capsys, "profile", "AIII", "2", "--step", "1/4")

@@ -51,6 +51,9 @@ class TestSpaceFamily:
             ("GRP_d", (1,)),
             ("XX", (1, 2)),
             ("AI", (1.5, 2)),
+            ("AI", ("a", 2)),
+            ("AIII", (float("nan"),)),
+            ("AIII", (float("inf"),)),
         ],
     )
     def test_invalid_parameters_rejected(self, tag, params):
