@@ -21,11 +21,11 @@ by left and right translation, the involution swapping the factors):
 
 Every fact about a family lives in its FamilySpec record in the _FAMILIES
 table, in catalog order: parameter shape and lower bound, ambient size,
-basis, involution, names, closed-form tag, canonical element, isotropy
-predicate, stated membership rule, table lambda, center and cover
-multiplier. FAMILY_TAGS, PQ_FAMILIES and GROUP_FAMILIES are read off the
-table, and the public functions below look a family up there; adding a
-family is one new record.
+basis and its root rule, involution, names, closed-form tag, canonical
+element, isotropy predicate, stated membership rule, table lambda, center
+and cover multiplier. FAMILY_TAGS, PQ_FAMILIES and GROUP_FAMILIES are read
+off the table, and the public functions below look a family up there;
+adding a family is one new record.
 
 Lie algebras are realized as anti-Hermitian complex matrices; compact
 Sp(n) sits inside U(2n) via the standard J_n = [[0,-I_n],[I_n,0]]
@@ -82,6 +82,7 @@ class FamilySpec:
     lower_bound: int  # least p + q, or least n
     ambient_dim: Callable[..., int]
     basis: Callable[[int], np.ndarray]  # orthonormal basis of g, (dim g, N, N), from N
+    roots: Callable[[np.ndarray], np.ndarray]  # root rule of that algebra, from eig(-i*xi)
     sigma_conj: bool  # sigma(X) = M @ op(X) @ M*, op conjugating the entries
     sigma_matrix: Callable[..., np.ndarray]  # M
     space_name: Callable[..., str]
@@ -225,6 +226,31 @@ def _sp_basis(big: int) -> Iterator[np.ndarray]:
             yield embed_q(q) / 2.0
 
 
+# Root rules (Fulton-Harris): the frequencies of ad(xi) on g from the
+# eigenvalues w of -i*xi, one value r per real dimension of g. ad(xi) acts
+# on the complexified algebra by i*r on each root vector, and a complex
+# dimension there is a real dimension of g.
+
+
+def _su_roots(w: np.ndarray) -> np.ndarray:
+    """su(N): |w_j - w_k| for j < k twice (E_jk and E_kj), N - 1 zeros (the diagonal)."""
+    j, k = np.triu_indices(len(w), 1)
+    diff = np.abs(w[j] - w[k])
+    return np.concatenate([np.zeros(len(w) - 1), diff, diff])
+
+
+def _so_roots(w: np.ndarray) -> np.ndarray:
+    """so(N), complexified the antisymmetric matrices: |w_j + w_k| for j < k."""
+    j, k = np.triu_indices(len(w), 1)
+    return np.abs(w[j] + w[k])
+
+
+def _sp_roots(w: np.ndarray) -> np.ndarray:
+    """sp(n), complexified J^-1 times the symmetric matrices: |w_j + w_k| for j <= k."""
+    j, k = np.triu_indices(len(w))
+    return np.abs(w[j] + w[k])
+
+
 # Canonical elements of extrinsically symmetric type.
 
 
@@ -316,7 +342,8 @@ def _spin_center(n: int) -> tuple:
 
 _FAMILIES = {
     "AI": FamilySpec(
-        pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q, basis=_su_basis,
+        pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q,
+        basis=_su_basis, roots=_su_roots,
         sigma_conj=True, sigma_matrix=lambda p, q: _eye(p + q),
         space_name=lambda p, q: f"SU({p + q})/SO({p + q})",
         orbit_name=lambda p, q: f"SO({p + q})/S(O({p})xO({q}))",
@@ -328,7 +355,8 @@ _FAMILIES = {
         ),
     ),
     "AII": FamilySpec(
-        pq=True, lower_bound=2, ambient_dim=lambda p, q: 2 * (p + q), basis=_su_basis,
+        pq=True, lower_bound=2, ambient_dim=lambda p, q: 2 * (p + q),
+        basis=_su_basis, roots=_su_roots,
         sigma_conj=True, sigma_matrix=lambda p, q: _j_matrix(p + q),
         space_name=lambda p, q: f"SU({2 * (p + q)})/Sp({p + q})",
         orbit_name=lambda p, q: f"Sp({p + q})/Sp({p})xSp({q})",
@@ -336,7 +364,8 @@ _FAMILIES = {
         isotropy=_quaternionic, membership=_phase_rule, table_lambda=_phase_lambda,
     ),
     "AIII": FamilySpec(
-        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n, basis=_su_basis,
+        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
+        basis=_su_basis, roots=_su_roots,
         sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
         space_name=lambda n: f"SU({2 * n})/S(U({n})xU({n}))",
         orbit_name=lambda n: f"U({n})",
@@ -346,7 +375,8 @@ _FAMILIES = {
     ),
     "BDI_rank1": FamilySpec(
         # p + q = 2 would give the abelian SO(2).
-        pq=True, lower_bound=3, ambient_dim=lambda p, q: p + q, basis=_so_basis,
+        pq=True, lower_bound=3, ambient_dim=lambda p, q: p + q,
+        basis=_so_basis, roots=_so_roots,
         sigma_conj=False, sigma_matrix=_signature,
         space_name=lambda p, q: f"SO({p + q})/SO({p})xSO({q})",
         orbit_name=lambda p, q: f"(S^{p - 1}xS^{q - 1})/Z2",
@@ -357,7 +387,8 @@ _FAMILIES = {
     ),
     "BDI_split": FamilySpec(
         # n = 1 would give the abelian SO(2).
-        pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n, basis=_so_basis,
+        pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n,
+        basis=_so_basis, roots=_so_roots,
         sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
         space_name=lambda n: f"SO({2 * n})/SO({n})xSO({n})",
         orbit_name=lambda n: f"SO({n})",
@@ -368,7 +399,8 @@ _FAMILIES = {
         table_lambda=lambda n: 2 if n % 2 == 0 else 4,
     ),
     "DIII": FamilySpec(
-        pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n, basis=_so_basis,
+        pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n,
+        basis=_so_basis, roots=_so_roots,
         sigma_conj=False, sigma_matrix=lambda n: _j_matrix(2 * n),
         space_name=lambda n: f"SO({4 * n})/U({2 * n})",
         orbit_name=lambda n: f"U({2 * n})/Sp({n})",
@@ -378,7 +410,8 @@ _FAMILIES = {
         membership=_even_rule, table_lambda=lambda n: 2,
     ),
     "CI": FamilySpec(
-        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n, basis=_sp_basis,
+        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
+        basis=_sp_basis, roots=_sp_roots,
         sigma_conj=False, sigma_matrix=_j_matrix,
         space_name=lambda n: f"Sp({n})/U({n})",
         orbit_name=lambda n: f"U({n})/SO({n})",
@@ -387,7 +420,8 @@ _FAMILIES = {
         membership=_even_rule, table_lambda=lambda n: 2,
     ),
     "CII": FamilySpec(
-        pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n, basis=_sp_basis,
+        pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n,
+        basis=_sp_basis, roots=_sp_roots,
         sigma_conj=False, sigma_matrix=_double_signature,
         space_name=lambda n: f"Sp({2 * n})/Sp({n})xSp({n})",
         orbit_name=lambda n: f"Sp({n})",
@@ -395,7 +429,8 @@ _FAMILIES = {
         isotropy=_in_sp_times_sp, membership=_even_rule, table_lambda=lambda n: 2,
     ),
     "GRP_a": FamilySpec(
-        pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q, basis=_su_basis,
+        pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q,
+        basis=_su_basis, roots=_su_roots,
         sigma_conj=True, sigma_matrix=lambda p, q: _eye(p + q),
         space_name=lambda p, q: f"SU({p + q})",
         orbit_name=lambda p, q: f"SU({p + q})/S(U({p})xU({q}))",
@@ -406,7 +441,8 @@ _FAMILIES = {
     ),
     "GRP_bd": FamilySpec(
         # n <= 2 would give the abelian SO(2) or less.
-        pq=False, lower_bound=3, ambient_dim=lambda n: n, basis=_so_basis,
+        pq=False, lower_bound=3, ambient_dim=lambda n: n,
+        basis=_so_basis, roots=_so_roots,
         sigma_conj=False, sigma_matrix=lambda n: _signature(1, n - 1),
         space_name=lambda n: f"Spin({n})",
         orbit_name=lambda n: f"SO({n})/(SO(2)xSO({n - 2}))",
@@ -415,7 +451,8 @@ _FAMILIES = {
         table_lambda=lambda n: 2, center=_spin_center, cover=2, group=True,
     ),
     "GRP_c": FamilySpec(
-        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n, basis=_sp_basis,
+        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
+        basis=_sp_basis, roots=_sp_roots,
         sigma_conj=False, sigma_matrix=_j_matrix,
         space_name=lambda n: f"Sp({n})",
         orbit_name=lambda n: f"Sp({n})/U({n})",
@@ -425,7 +462,8 @@ _FAMILIES = {
     ),
     "GRP_d": FamilySpec(
         # n = 1 would give the abelian SO(2).
-        pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n, basis=_so_basis,
+        pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n,
+        basis=_so_basis, roots=_so_roots,
         sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
         space_name=lambda n: f"Spin({2 * n})",
         orbit_name=lambda n: f"SO({2 * n})/U({n})",

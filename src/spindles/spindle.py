@@ -15,6 +15,12 @@ number by two independent methods that are asserted to agree:
 
 A third pure-arithmetic route (closed_form_lambda) gives the published
 table value directly.
+
+The spectrum of ad(xi) also has two routes. spindle_number reads it off the
+N eigenvalues of xi through the family's root rule, in O(N^3), and builds
+no dim g x dim g matrix. ad_matrix, ad_spectrum, cartan_split,
+is_extrinsically_symmetric_type and normalize_canonical diagonalize the
+matrix of ad(xi) on g instead; they are the independent second route.
 """
 
 from __future__ import annotations
@@ -136,14 +142,18 @@ class CartanSplit:
         return np.concatenate(self.p_nu, axis=0)
 
 
-def ad_matrix(space: SpaceInstance, xi, eps: float | None = None) -> np.ndarray:
-    """Real matrix of ad(xi) on g in the orthonormal basis (antisymmetric
-    for xi in g). Requires xi in p."""
-    m = ensure_square(xi)
+def _require_tangent(space: SpaceInstance, m: np.ndarray, eps: float | None) -> None:
     if not space.contains_tangent(m, eps):
         raise NotInTangentSpaceError(
             f"{space.family}: element is not in the (-1) eigenspace of the involution"
         )
+
+
+def ad_matrix(space: SpaceInstance, xi, eps: float | None = None) -> np.ndarray:
+    """Real matrix of ad(xi) on g in the orthonormal basis (antisymmetric
+    for xi in g). Requires xi in p."""
+    m = ensure_square(xi)
+    _require_tangent(space, m, eps)
     brackets = m[None, :, :] @ space.basis_tensor - space.basis_tensor @ m[None, :, :]
     return space.basis_vecs @ mat_to_vec(brackets).T
 
@@ -159,13 +169,11 @@ def _bucket(values: np.ndarray, tol: float) -> list:
     return groups
 
 
-def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
-    """(spectrum, nu, u): the AdSpectrum of ad(xi) from its matrix, with the
-    square roots nu of the eigenvalues of -ad(xi)^2 and their eigenvectors u."""
-    sq = -(admat @ admat)
-    w, u = np.linalg.eigh((sq + sq.T) / 2.0)
-    nu = np.sqrt(np.clip(w, 0.0, None))
-
+def _frequency_clusters(space: SpaceInstance, nu: np.ndarray) -> tuple:
+    """(frequencies, column groups) of the ascending frequencies nu: first the
+    zero cluster (nu <= ZERO_FREQ_TOL, at 0.0), then clusters split at gaps
+    > BUCKET_TOL, each at its mean, snapped to a near integer. Each group
+    holds the indices of its cluster in nu."""
     zero_count = int(np.sum(nu <= ZERO_FREQ_TOL))
     frequencies = [0.0]
     column_groups = [np.arange(zero_count)]
@@ -186,6 +194,16 @@ def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
             )
         frequencies.append(center)
         column_groups.append(np.arange(zero_count + a, zero_count + b))
+    return frequencies, column_groups
+
+
+def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
+    """(spectrum, nu, u): the AdSpectrum of ad(xi) from its matrix, with the
+    square roots nu of the eigenvalues of -ad(xi)^2 and their eigenvectors u."""
+    sq = -(admat @ admat)
+    w, u = np.linalg.eigh((sq + sq.T) / 2.0)
+    nu = np.sqrt(np.clip(w, 0.0, None))
+    frequencies, column_groups = _frequency_clusters(space, nu)
 
     mult_k = []
     mult_p = []
@@ -215,6 +233,41 @@ def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
             f"expected ({space.k_dim}, {space.p_dim})"
         )
     return spec, nu, u
+
+
+def _root_spectrum(space: SpaceInstance, xi, tol: float) -> tuple:
+    """(spectrum, extrinsically symmetric) of ad(xi) from root data: one
+    eigvalsh of -i*xi, O(N^3) and no dim g x dim g matrix.
+
+    The family's root rule turns the eigenvalues into the frequencies of
+    ad(xi), one per real dimension of g, bucketed as in ad_spectrum. For
+    nu > 0, ad(xi) maps k_nu onto p_nu and back (xi is in p), so such a
+    cluster splits evenly; the zero cluster takes what is left of k_dim
+    and p_dim. ad(xi) is normal with eigenvalues +-i*r, so ad^3 + ad has
+    eigenvalues of modulus |r^3 - r|, and max |r^3 - r| <= tol bounds every
+    entry of the d x d cube test as well.
+    """
+    m = ensure_square(xi)
+    _require_tangent(space, m, tol)
+    nu = np.sort(space.family._spec.roots(np.linalg.eigvalsh(-1j * m)))
+    frequencies, groups = _frequency_clusters(space, nu)
+    halves = []
+    for freq, cols in zip(frequencies[1:], groups[1:]):
+        if len(cols) % 2:
+            raise SpectrumBucketingError(
+                f"{space.family}: frequency {freq} has odd multiplicity {len(cols)}, "
+                "so ad(xi) cannot swap its k and p parts"
+            )
+        halves.append(len(cols) // 2)
+    k0 = space.k_dim - sum(halves)
+    p0 = space.p_dim - sum(halves)
+    if k0 < 0 or p0 < 0:
+        raise SpectrumBucketingError(
+            f"{space.family}: the positive frequencies take {sum(halves)} dimensions "
+            f"of k and of p, more than ({space.k_dim}, {space.p_dim})"
+        )
+    spec = AdSpectrum(tuple(frequencies), (k0, *halves), (p0, *halves))
+    return spec, float(np.max(np.abs(nu**3 - nu))) <= tol
 
 
 def ad_spectrum(space: SpaceInstance, xi, eps: float | None = None) -> AdSpectrum:
@@ -487,20 +540,31 @@ def center_divisibility_check(lam: int, z: int) -> bool:
     return True
 
 
+def _is_scalar(a: np.ndarray, tol: float) -> bool:
+    """True iff a is within tol of c*I, c the mean of its diagonal."""
+    n = a.shape[0]
+    return float(np.max(np.abs(a - np.trace(a) / n * np.eye(n)))) <= tol
+
+
 def adjoint_conjugation_flags(space: SpaceInstance, xi, eps: float | None = None) -> tuple:
-    """(order_two, commutes_with_involution) for conjugation by exp(pi*xi)
-    acting on g.
+    """(order_two, commutes_with_involution) for conjugation Ad(g) by
+    g = exp(pi*xi) acting on g.
 
     Both together certify that the corresponding element acts as an
     involution compatible with the symmetric structure, which forces
-    spindle number 1 on the adjoint quotient of the same algebra."""
+    spindle number 1 on the adjoint quotient of the same algebra.
+
+    Both are N x N tests. Every catalog algebra (su(N), so(N) with N >= 3,
+    sp(n)) acts irreducibly on C^N, so by Schur's lemma Ad(h) is the
+    identity on g iff h is scalar. Hence Ad(g)^2 = id iff g^2 is scalar,
+    and sigma Ad(g) = Ad(g) sigma, that is Ad(sigma(g)) = Ad(g), iff
+    g* sigma(g) is scalar. For xi in p, sigma(g) = exp(-pi*xi) = g^-1, so
+    g* sigma(g) = g^-2 and the two flags are the same condition; both are
+    still computed, each from its own definition."""
     tol = resolve_eps(eps)
-    g = exp_generic(xi, math.pi, eps)
-    conj = g[None, :, :] @ space.basis_tensor @ g.conj().T[None, :, :]
-    ad_g = space.basis_vecs @ mat_to_vec(conj).T
-    order_two = float(np.max(np.abs(ad_g @ ad_g - np.eye(space.dim_g)))) <= tol
-    s = space.sigma_coords
-    commutes = float(np.max(np.abs(s @ ad_g - ad_g @ s))) <= tol
+    g = exp_generic(xi, math.pi, tol)
+    order_two = _is_scalar(g @ g, tol)
+    commutes = _is_scalar(g.conj().T @ space.apply_sigma(g), tol)
     return order_two, commutes
 
 
@@ -570,14 +634,14 @@ class SpindleReport:
         }
 
 
-def _report_checks(space, xi, spec, lam, ext_sym, exact, numeric, eps) -> dict:
-    """The per-row verification flags carried on a report."""
+def _report_checks(space, xi, spec, lam, ext_sym, exact, numeric, tol: float) -> dict:
+    """The per-row verification flags carried on a report, at tolerance tol."""
     checks: dict = {}
     checks["canonical"] = True
     checks["extrinsically_symmetric_type"] = ext_sym
     checks["methods_agree"] = exact == numeric
 
-    order_two, commutes = adjoint_conjugation_flags(space, xi, eps)
+    order_two, commutes = adjoint_conjugation_flags(space, xi, tol)
     checks["adjoint_order_two"] = order_two
     checks["adjoint_commutes_with_involution"] = commutes
 
@@ -597,7 +661,7 @@ def _report_checks(space, xi, spec, lam, ext_sym, exact, numeric, eps) -> dict:
             break
     checks["jacobi_zero_iff_knot"] = lattice_ok
 
-    dims = {k: slice_dimension(spec, k * math.pi / 60.0, eps) for k in range(-240, 241)}
+    dims = {k: slice_dimension(spec, k * math.pi / 60.0, tol) for k in range(-240, 241)}
     checks["slice_zero_iff_knot"] = all(
         (dims[k] == 0) == (k % 60 == 0) for k in dims
     )
@@ -630,22 +694,25 @@ def _report_checks(space, xi, spec, lam, ext_sym, exact, numeric, eps) -> dict:
 
 def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> SpindleReport:
     """Full spindle analysis of (space, xi); xi defaults to the family's
-    canonical element. The exact and numeric methods must agree."""
+    canonical element. The exact and numeric methods must agree.
+
+    eps is resolved once here (None reads SPINDLE_EPS) and passed down as
+    a float. The spectrum comes from root data (_root_spectrum), so the
+    analysis is O(N^3) after build_space."""
+    tol = resolve_eps(eps)
     if xi is None:
         xi = canonical_element(space.family)
     m = ensure_square(xi)
 
-    admat = ad_matrix(space, m, eps)
-    spec = _spectrum_from_ad(space, admat)[0]
+    spec, ext_sym = _root_spectrum(space, m, tol)
     if not is_canonical(spec):
         raise NotCanonicalError(
             f"{space.family}: spindle_number requires a canonical element, "
             f"got frequencies {spec.frequencies}"
         )
-    ext_sym = _is_ext_sym(admat, eps)
 
     exact = method_exact(space.family)
-    numeric = method_numeric(space, m, eps)
+    numeric = method_numeric(space, m, tol)
     if exact != numeric:
         raise MethodDisagreementError(
             f"{space.family}: exact method gives {exact}, numeric scan gives {numeric}"
@@ -655,11 +722,11 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
     knots = tuple(RationalAngle(n) for n in range(lam))
     centrioles = tuple(RationalAngle(2 * n + 1, 2) for n in range(lam))
     profile = tuple(
-        (RationalAngle(k, 12), slice_dimension(spec, RationalAngle(k, 12), eps))
+        (RationalAngle(k, 12), slice_dimension(spec, RationalAngle(k, 12), tol))
         for k in range(12 * lam + 1)
     )
 
-    checks = _report_checks(space, m, spec, lam, ext_sym, exact, numeric, eps)
+    checks = _report_checks(space, m, spec, lam, ext_sym, exact, numeric, tol)
     return SpindleReport(
         family=space.family,
         lambda_=lam,

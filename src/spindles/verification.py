@@ -273,6 +273,50 @@ def product_pair_checks(lambdas: dict) -> list:
     return results
 
 
+def _family_checks(family, eps: float | None, debug_scale: float | None) -> tuple:
+    """(results, lambda or None) of the battery for one family. The space
+    is local here, so its basis is freed before the next family's is built;
+    build_space of the largest space sets the battery's peak memory."""
+    space = build_space(family)
+    name = str(family)
+    results = structural_checks(space, eps)
+    results.append(exp_agreement_check(space, eps))
+    results.append(isotropy_scan_check(space, eps))
+    results.append(normalize_recovery_check(space, eps))
+
+    xi = canonical_element(family)
+    if debug_scale is not None:
+        xi = float(debug_scale) * xi
+    spec = ad_spectrum(space, xi, eps)
+    try:
+        canonical_ok = is_canonical(spec)
+    except DegenerateElementError:
+        canonical_ok = False
+    results.append(
+        CheckResult(
+            f"{name}:canonical",
+            canonical_ok,
+            f"frequencies {tuple(round(f, 9) for f in spec.frequencies)}",
+        )
+    )
+    if not canonical_ok:
+        return results, None
+
+    report = spindle_number(space, xi, eps)
+    for key, value in report.checks.items():
+        if key == "canonical" or value is None:
+            continue
+        results.append(CheckResult(f"{name}:{key}", bool(value)))
+    results.append(
+        CheckResult(
+            f"{name}:lambda_matches_table",
+            report.lambda_ == closed_form_lambda(family),
+            f"computed {report.lambda_}, table {closed_form_lambda(family)}",
+        )
+    )
+    return results, report.lambda_
+
+
 def run_verification(
     cap: int = 6,
     eps: float | None = None,
@@ -290,44 +334,10 @@ def run_verification(
     results: list = []
     lambdas: dict = {}
     for family in sweep_families(cap):
-        space = build_space(family)
-        name = str(family)
-        results.extend(structural_checks(space, eps))
-        results.append(exp_agreement_check(space, eps))
-        results.append(isotropy_scan_check(space, eps))
-        results.append(normalize_recovery_check(space, eps))
-
-        xi = canonical_element(family)
-        if debug_scale is not None:
-            xi = float(debug_scale) * xi
-        spec = ad_spectrum(space, xi, eps)
-        try:
-            canonical_ok = is_canonical(spec)
-        except DegenerateElementError:
-            canonical_ok = False
-        results.append(
-            CheckResult(
-                f"{name}:canonical",
-                canonical_ok,
-                f"frequencies {tuple(round(f, 9) for f in spec.frequencies)}",
-            )
-        )
-        if not canonical_ok:
-            continue
-
-        report = spindle_number(space, xi, eps)
-        for key, value in report.checks.items():
-            if key == "canonical" or value is None:
-                continue
-            results.append(CheckResult(f"{name}:{key}", bool(value)))
-        results.append(
-            CheckResult(
-                f"{name}:lambda_matches_table",
-                report.lambda_ == closed_form_lambda(family),
-                f"computed {report.lambda_}, table {closed_form_lambda(family)}",
-            )
-        )
-        lambdas[name] = report.lambda_
+        checks, lam = _family_checks(family, eps, debug_scale)
+        results.extend(checks)
+        if lam is not None:
+            lambdas[str(family)] = lam
 
     results.extend(product_pair_checks(lambdas))
     results.append(rational_angle_bulk_check(angle_trials))

@@ -2,7 +2,8 @@
 
 tests/golden_rows.json holds a short SHA-256 digest of every cap-6
 catalog row, as catalog_entry and as SpindleReport.to_json_dict (JSON
-with sorted keys), and of the file written by `table --cap 3 --json`.
+with sorted keys), of the to_json_dict rows of eight N=40 spaces at their
+canonical element, and of the file written by `table --cap 3 --json`.
 Any change to a key, a value or a float's last digit shows up here.
 """
 
@@ -10,8 +11,20 @@ import hashlib
 import json
 from pathlib import Path
 
-from spindles import catalog_entry
+from spindles import SpaceFamily, build_space, catalog_entry, spindle_number
 from spindles.cli import main
+
+# Eight N=40 spaces, dim g from 780 to 1599.
+LARGE_FAMILIES = (
+    ("AI", 19, 21),
+    ("AIII", 20),
+    ("BDI_split", 20),
+    ("CII", 10),
+    ("DIII", 10),
+    ("GRP_c", 20),
+    ("GRP_d", 20),
+    ("GRP_bd", 41),
+)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_rows.json").read_text())
 
@@ -32,6 +45,14 @@ def test_report_rows(catalog6):
 def test_catalog_entries(catalog6):
     rows = {name: catalog_entry(space) for name, (_, space, _) in catalog6.items()}
     assert row_digests(rows) == GOLDEN["catalog_entry"]
+
+
+def test_report_rows_n40():
+    rows = {}
+    for params in LARGE_FAMILIES:
+        family = SpaceFamily.make(*params)
+        rows[str(family)] = spindle_number(build_space(family)).to_json_dict()
+    assert row_digests(rows) == GOLDEN["to_json_dict_n40"]
 
 
 def test_table_json_file(tmp_path, monkeypatch, capsys):

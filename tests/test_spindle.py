@@ -176,6 +176,28 @@ class TestAdjointChecks:
             adjoint_space_check(space, 0.5 * canonical_element(family))
 
 
+class TestEpsResolvedOnce:
+    @pytest.mark.parametrize("params", [("AI", 2, 3), ("CII", 2), ("GRP_bd", 5)])
+    def test_default_eps_calls_per_report(self, monkeypatch, params):
+        from spindles import linalg
+
+        calls = []
+        real = linalg.default_eps
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.delenv("SPINDLE_EPS", raising=False)
+        monkeypatch.setattr(linalg, "default_eps", counting)
+        space = build_space(SpaceFamily.make(*params))
+        spindle_number(space)
+        assert len(calls) == 1
+        calls.clear()
+        spindle_number(space, eps=1e-9)
+        assert calls == []
+
+
 class TestCenterDivisibility:
     def test_examples(self):
         assert center_divisibility_check(6, 3)
