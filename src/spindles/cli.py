@@ -219,6 +219,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.debug_scale is not None and not math.isfinite(args.debug_scale):
+        raise ParameterError(f"--debug-scale must be a finite number, got {args.debug_scale!r}")
     if args.pair is not None:
         a, b = args.pair
         lam = product_spindle(a, b)

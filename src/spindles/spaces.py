@@ -606,10 +606,6 @@ class SpaceInstance:
     def dim_g(self) -> int:
         return self.basis_tensor.shape[0]
 
-    @property
-    def g_basis(self) -> tuple:
-        return tuple(self.basis_tensor[i] for i in range(self.dim_g))
-
     def apply_sigma(self, x) -> np.ndarray:
         m = ensure_square(x)
         if m.shape[0] != self.ambient_dim:

@@ -198,8 +198,9 @@ def _frequency_clusters(space: SpaceInstance, nu: np.ndarray) -> tuple:
 
 
 def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
-    """(spectrum, nu, u): the AdSpectrum of ad(xi) from its matrix, with the
-    square roots nu of the eigenvalues of -ad(xi)^2 and their eigenvectors u."""
+    """(spectrum, column groups, u): the AdSpectrum of ad(xi) from its
+    matrix, with the eigenvectors u of -ad(xi)^2 and, per frequency, the
+    indices of its columns in u (as _frequency_clusters groups them)."""
     sq = -(admat @ admat)
     w, u = np.linalg.eigh((sq + sq.T) / 2.0)
     nu = np.sqrt(np.clip(w, 0.0, None))
@@ -232,7 +233,7 @@ def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
             f"{space.family}: multiplicities sum to ({spec.dim_k}, {spec.dim_p}), "
             f"expected ({space.k_dim}, {space.p_dim})"
         )
-    return spec, nu, u
+    return spec, column_groups, u
 
 
 def _root_spectrum(space: SpaceInstance, xi, tol: float) -> tuple:
@@ -360,7 +361,7 @@ def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSp
     intersected with the +-1 eigenspaces of the involution, then mapped
     back to matrices.
     """
-    spec, nu, u = _spectrum_from_ad(space, ad_matrix(space, xi, eps))
+    spec, column_groups, u = _spectrum_from_ad(space, ad_matrix(space, xi, eps))
     if not is_canonical(spec):
         raise NotCanonicalError(
             f"{space.family}: cartan_split requires a canonical element, "
@@ -381,12 +382,10 @@ def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSp
             return np.zeros((0, space.ambient_dim, space.ambient_dim), dtype=complex)
         return np.tensordot(coord_cols.T, space.basis_tensor, axes=1)
 
-    zero_cols = np.flatnonzero(nu <= ZERO_FREQ_TOL)
-    k0, p0 = split_cluster(zero_cols)
+    k0, p0 = split_cluster(column_groups[0])
     k_nu = []
     p_nu = []
-    for freq in spec.frequencies[1:]:
-        cols = np.flatnonzero(np.abs(nu - freq) <= max(BUCKET_TOL, ZERO_FREQ_TOL))
+    for cols in column_groups[1:]:
         kc, pc = split_cluster(cols)
         k_nu.append(to_matrices(kc))
         p_nu.append(to_matrices(pc))
@@ -634,6 +633,17 @@ class SpindleReport:
         }
 
 
+def _symmetric_about(values: np.ndarray, centers) -> bool:
+    """True iff values are mirror-symmetric about each center index, as far
+    as the array reaches on both sides of it."""
+    for c in centers:
+        r = min(c, len(values) - 1 - c)
+        window = values[c - r : c + r + 1]
+        if not np.array_equal(window, window[::-1]):
+            return False
+    return True
+
+
 def _report_checks(space, xi, spec, lam, ext_sym, exact, numeric, tol: float) -> dict:
     """The per-row verification flags carried on a report, at tolerance tol."""
     checks: dict = {}
@@ -650,45 +660,25 @@ def _report_checks(space, xi, spec, lam, ext_sym, exact, numeric, tol: float) ->
     else:
         checks["center_divides_double"] = center_divisibility_check(lam, space.center_order)
 
-    # Knot lattice: with unit components the variation norm vanishes
-    # exactly on pi*Z. Grid of sixtieths over +-4 periods.
-    comps = [1.0] * len(spec.positive_frequencies)
-    lattice_ok = True
-    for k in range(-240, 241):
-        val = jacobi_norm_sq(spec, comps, k * math.pi / 60.0)
-        if (val <= 1e-15) != (k % 60 == 0):
-            lattice_ok = False
-            break
-    checks["jacobi_zero_iff_knot"] = lattice_ok
-
-    dims = {k: slice_dimension(spec, k * math.pi / 60.0, tol) for k in range(-240, 241)}
-    checks["slice_zero_iff_knot"] = all(
-        (dims[k] == 0) == (k % 60 == 0) for k in dims
+    # Knot lattice and slice profile on one grid: sixtieths of pi over
+    # +-4 periods (index i is t = (i - 240)*pi/60). With unit components the
+    # variation norm vanishes exactly on pi*Z; a slice counts dim p_nu for
+    # each frequency with |sin(nu t)| > tol.
+    k = np.arange(-240, 241)
+    knot = k % 60 == 0
+    nu = np.array(spec.positive_frequencies)
+    sines = np.sin(nu * (k[:, None] * math.pi / 60.0))
+    jacobi = (sines * sines / (nu * nu)).sum(axis=1)
+    dims = (np.abs(sines) > tol) @ np.array(spec.positive_mult_p, dtype=int)
+    checks["jacobi_zero_iff_knot"] = bool(np.array_equal(jacobi <= 1e-15, knot))
+    checks["slice_zero_iff_knot"] = bool(np.array_equal(dims == 0, knot))
+    checks["slice_constant_between_knots"] = (
+        bool(np.all(dims[241:300] == spec.orbit_dim)) if ext_sym else None
     )
-    if ext_sym:
-        interior = {dims[k] for k in range(1, 60)}
-        checks["slice_constant_between_knots"] = interior == {spec.orbit_dim}
-    else:
-        checks["slice_constant_between_knots"] = None
-
-    knot_sym = True
-    for center in range(-240, 241, 60):
-        for off in range(0, 241):
-            lo, hi = center - off, center + off
-            if -240 <= lo and hi <= 240 and dims[lo] != dims[hi]:
-                knot_sym = False
-    checks["profile_symmetric_about_knots"] = knot_sym
-
-    if ext_sym:
-        cent_sym = True
-        for center in range(-210, 241, 60):
-            for off in range(0, 241):
-                lo, hi = center - off, center + off
-                if -240 <= lo and hi <= 240 and dims[lo] != dims[hi]:
-                    cent_sym = False
-        checks["profile_symmetric_about_centrioles"] = cent_sym
-    else:
-        checks["profile_symmetric_about_centrioles"] = None
+    checks["profile_symmetric_about_knots"] = _symmetric_about(dims, range(0, 481, 60))
+    checks["profile_symmetric_about_centrioles"] = (
+        _symmetric_about(dims, range(30, 481, 60)) if ext_sym else None
+    )
     return checks
 
 

@@ -273,7 +273,7 @@ def product_pair_checks(lambdas: dict) -> list:
     return results
 
 
-def _family_checks(family, eps: float | None, debug_scale: float | None) -> tuple:
+def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     """(results, lambda or None) of the battery for one family. The space
     is local here, so its basis is freed before the next family's is built;
     build_space of the largest space sets the battery's peak memory."""
@@ -327,14 +327,16 @@ def run_verification(
 
     debug_scale rescales every canonical element before the spindle
     analysis; anything but 1 breaks canonicality on purpose, so the
-    failure path can be exercised end to end.
+    failure path can be exercised end to end. eps is resolved once here
+    (None reads SPINDLE_EPS) and every stage gets the float.
 
     Returns (results, all_ok).
     """
+    tol = resolve_eps(eps)
     results: list = []
     lambdas: dict = {}
     for family in sweep_families(cap):
-        checks, lam = _family_checks(family, eps, debug_scale)
+        checks, lam = _family_checks(family, tol, debug_scale)
         results.extend(checks)
         if lam is not None:
             lambdas[str(family)] = lam

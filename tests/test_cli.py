@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -182,6 +183,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--pair", "2", "3")
         assert code == 0
         assert "product_spindle(2, 3) = 6" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_debug_scale_exit_2(self, capsys, monkeypatch, value):
+        from spindles import verification
+
+        built = []
+        monkeypatch.setattr(verification, "build_space", built.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "--cap", "2", f"--debug-scale={value}")
+        assert code == 2
+        assert built == []
+        assert out == ""
+        assert err == f"error: --debug-scale must be a finite number, got {float(value)!r}\n"
 
     def test_pair_validation(self, capsys):
         code, _, err = run(capsys, "verify", "--pair", "0", "3")

@@ -3,12 +3,16 @@
 tests/golden_rows.json holds a short SHA-256 digest of every cap-6
 catalog row, as catalog_entry and as SpindleReport.to_json_dict (JSON
 with sorted keys), of the to_json_dict rows of eight N=40 spaces at their
-canonical element, and of the file written by `table --cap 3 --json`.
+canonical element, of the file written by `table --cap 3 --json`, and of
+the stdout of `verify --cap 3 --verbose` at the default eps and at eps 0.1
+(where every slice_zero_iff_knot check fails, since sin(pi/60) < 0.1).
 Any change to a key, a value or a float's last digit shows up here.
 """
 
 import hashlib
 import json
+
+import pytest
 from pathlib import Path
 
 from spindles import SpaceFamily, build_space, catalog_entry, spindle_number
@@ -62,3 +66,17 @@ def test_table_json_file(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert digest(path.read_bytes()) == GOLDEN["table_cap3_json"]
 
+
+
+@pytest.mark.parametrize(
+    "eps_args, code, key",
+    [
+        ((), 0, "verify_cap3_verbose"),
+        (("--eps", "0.1"), 1, "verify_cap3_verbose_eps0.1"),
+    ],
+)
+def test_verify_stdout(eps_args, code, key, monkeypatch, capsys):
+    monkeypatch.delenv("SPINDLE_EPS", raising=False)
+    assert main([*eps_args, "verify", "--cap", "3", "--verbose"]) == code
+    out = capsys.readouterr().out
+    assert digest(out.encode()) == GOLDEN[key]

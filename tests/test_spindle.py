@@ -13,15 +13,20 @@ from spindles.errors import (
 from spindles.linalg import RationalAngle, exp_generic
 from spindles.spaces import SpaceFamily, build_space, canonical_element
 from spindles.spindle import (
+    AdSpectrum,
+    _report_checks,
     adjoint_conjugation_flags,
     adjoint_space_check,
     center_divisibility_check,
     closed_form_lambda,
+    jacobi_norm_sq,
     method_exact,
     method_numeric,
     product_spindle,
+    slice_dimension,
     spindle_number,
 )
+from spindles.verification import run_verification
 
 
 class TestClosedForm:
@@ -196,6 +201,140 @@ class TestEpsResolvedOnce:
         calls.clear()
         spindle_number(space, eps=1e-9)
         assert calls == []
+
+
+class TestVerificationEpsResolvedOnce:
+    def test_default_eps_calls_per_battery(self, monkeypatch):
+        from spindles import linalg
+
+        calls = []
+        real = linalg.default_eps
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.delenv("SPINDLE_EPS", raising=False)
+        monkeypatch.setattr(linalg, "default_eps", counting)
+        run_verification(cap=2, angle_trials=100)
+        assert len(calls) == 1
+        calls.clear()
+        run_verification(cap=2, eps=1e-9, angle_trials=100)
+        assert calls == []
+
+
+def scalar_grid_checks(spec, ext_sym, tol):
+    """The grid checks of a report, one scalar helper call per grid point
+    (the reference _report_checks must agree with)."""
+    checks = {}
+    comps = [1.0] * len(spec.positive_frequencies)
+    lattice_ok = True
+    for k in range(-240, 241):
+        val = jacobi_norm_sq(spec, comps, k * math.pi / 60.0)
+        if (val <= 1e-15) != (k % 60 == 0):
+            lattice_ok = False
+            break
+    checks["jacobi_zero_iff_knot"] = lattice_ok
+
+    dims = {k: slice_dimension(spec, k * math.pi / 60.0, tol) for k in range(-240, 241)}
+    checks["slice_zero_iff_knot"] = all((dims[k] == 0) == (k % 60 == 0) for k in dims)
+    if ext_sym:
+        interior = {dims[k] for k in range(1, 60)}
+        checks["slice_constant_between_knots"] = interior == {spec.orbit_dim}
+    else:
+        checks["slice_constant_between_knots"] = None
+
+    knot_sym = True
+    for center in range(-240, 241, 60):
+        for off in range(0, 241):
+            lo, hi = center - off, center + off
+            if -240 <= lo and hi <= 240 and dims[lo] != dims[hi]:
+                knot_sym = False
+    checks["profile_symmetric_about_knots"] = knot_sym
+
+    if ext_sym:
+        cent_sym = True
+        for center in range(-210, 241, 60):
+            for off in range(0, 241):
+                lo, hi = center - off, center + off
+                if -240 <= lo and hi <= 240 and dims[lo] != dims[hi]:
+                    cent_sym = False
+        checks["profile_symmetric_about_centrioles"] = cent_sym
+    else:
+        checks["profile_symmetric_about_centrioles"] = None
+    return checks
+
+
+REPORT_CHECK_KEYS = [
+    "canonical",
+    "extrinsically_symmetric_type",
+    "methods_agree",
+    "adjoint_order_two",
+    "adjoint_commutes_with_involution",
+    "center_divides_double",
+    "jacobi_zero_iff_knot",
+    "slice_zero_iff_knot",
+    "slice_constant_between_knots",
+    "profile_symmetric_about_knots",
+    "profile_symmetric_about_centrioles",
+]
+
+# (positive frequencies, positive mult_p, ext_sym). The first six are
+# spectra the catalog never produces (two frequencies, so not
+# extrinsically symmetric); a zero multiplicity lets a slice vanish off
+# the knots. The rest pass ext_sym=True with spectra that make the
+# symmetry and lattice checks come out False.
+SYNTHETIC_SPECTRA = [
+    ((1.0, 2.0), (3, 1), False),
+    ((1.0, 2.0), (1, 4), False),
+    ((1.0, 2.0), (2, 0), False),
+    ((1.0, 3.0), (2, 5), False),
+    ((1.0, 3.0), (1, 1), False),
+    ((1.0, 3.0), (3, 0), False),
+    ((1.0,), (4,), True),
+    ((1.5,), (2,), True),
+    ((1.0 / 3.0, 1.0), (1, 2), True),
+    ((1.0, 2.0), (2, 3), True),
+]
+
+
+class TestReportChecksOracle:
+    @pytest.mark.parametrize("tol", [1e-9, 0.1])
+    def test_catalog_reports(self, catalog6, tol):
+        for name, (_, space, report) in catalog6.items():
+            spec = AdSpectrum(report.frequencies, report.mult_k, report.mult_p)
+            ext_sym = report.extrinsically_symmetric
+            lam = report.lambda_
+            xi = canonical_element(space.family)
+            checks = _report_checks(space, xi, spec, lam, ext_sym, lam, lam, tol)
+            assert list(checks) == REPORT_CHECK_KEYS, name
+            if tol == 1e-9:
+                assert list(checks.items()) == list(report.checks.items()), name
+            grid = {key: checks[key] for key in REPORT_CHECK_KEYS[6:]}
+            assert grid == scalar_grid_checks(spec, ext_sym, tol), name
+            assert all(type(v) is bool or v is None for v in checks.values()), name
+            # sin(pi/60) ~ 0.052 < 0.1: the slice next to each knot is empty.
+            assert checks["slice_zero_iff_knot"] is (tol < 0.05), name
+
+    def test_synthetic_spectra(self):
+        space = build_space(SpaceFamily.make("AI", 1, 2))
+        xi = canonical_element(space.family)
+        seen = {key: set() for key in REPORT_CHECK_KEYS[6:]}
+        for freqs, mult_p, ext_sym in SYNTHETIC_SPECTRA:
+            spec = AdSpectrum((0.0, *freqs), (1, *mult_p), (1, *mult_p))
+            for tol in (1e-9, 0.05, 0.06):
+                checks = _report_checks(space, xi, spec, 1, ext_sym, 1, 1, tol)
+                assert list(checks) == REPORT_CHECK_KEYS
+                grid = {key: checks[key] for key in REPORT_CHECK_KEYS[6:]}
+                assert grid == scalar_grid_checks(spec, ext_sym, tol), (freqs, mult_p, tol)
+                for key, value in grid.items():
+                    assert type(value) is bool or value is None
+                    seen[key].add(value)
+        # Every grid check took both values, and the ext-sym-only ones None.
+        for key, values in seen.items():
+            assert {True, False} <= values, key
+        assert None in seen["slice_constant_between_knots"]
+        assert None in seen["profile_symmetric_about_centrioles"]
 
 
 class TestCenterDivisibility:
