@@ -21,11 +21,22 @@ by left and right translation, the involution swapping the factors):
 
 Every fact about a family lives in its FamilySpec record in the _FAMILIES
 table, in catalog order: parameter shape and lower bound, ambient size,
-basis and its root rule, involution, names, closed-form tag, canonical
+the algebra (basis, dimension, root rule, projector), involution and the
+dimension of its fixed subalgebra k, names, closed-form tag, canonical
 element, isotropy predicate, stated membership rule, table lambda, center
 and cover multiplier. FAMILY_TAGS, PQ_FAMILIES and GROUP_FAMILIES are read
 off the table, and the public functions below look a family up there;
 adding a family is one new record.
+
+build_space does O(N^2) work and builds no basis: dim g and dim k come
+from the formulas, and tangency is tested with the algebra's closed-form
+orthogonal projector. The dim g x dim g data (the basis and the involution
+in its coordinates) is built on first use and kept on the SpaceInstance.
+Its readers are to_coords/from_coords, the d x d route of the spindle
+module (ad_matrix and its callers) and verify's structural checks;
+spindle_number, and so `table`, `analyze` and `profile`, read none of it.
+`table --cap 30` (2,095 spaces, N up to 120) takes about 10 s and 40 MB
+on a 2-vCPU host with one BLAS thread.
 
 Lie algebras are realized as anti-Hermitian complex matrices; compact
 Sp(n) sits inside U(2n) via the standard J_n = [[0,-I_n],[I_n,0]]
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -81,10 +93,14 @@ class FamilySpec:
     pq: bool  # parameters 1 <= p <= q, else a single n
     lower_bound: int  # least p + q, or least n
     ambient_dim: Callable[..., int]
-    basis: Callable[[int], np.ndarray]  # orthonormal basis of g, (dim g, N, N), from N
-    roots: Callable[[np.ndarray], np.ndarray]  # root rule of that algebra, from eig(-i*xi)
+    # The algebra g, from N (see _SU, _SO, _SP):
+    basis: Callable[[int], np.ndarray]  # orthonormal basis, (dim g, N, N)
+    dim_g: Callable[[int], int]
+    roots: Callable[[np.ndarray], np.ndarray]  # root rule, from eig(-i*xi)
+    project: Callable[[np.ndarray], np.ndarray]  # orthogonal projector onto g
     sigma_conj: bool  # sigma(X) = M @ op(X) @ M*, op conjugating the entries
     sigma_matrix: Callable[..., np.ndarray]  # M
+    k_dim: Callable[..., int]  # dim of the fixed subalgebra k of sigma
     space_name: Callable[..., str]
     orbit_name: Callable[..., str]
     closed_form: str  # see linalg.exp_structured
@@ -141,7 +157,20 @@ def _stacked(dim: Callable[[int], int]):
     return decorate
 
 
-@_stacked(lambda m: m * m - 1)
+def _su_dim(m: int) -> int:
+    return m * m - 1
+
+
+def _so_dim(m: int) -> int:
+    return m * (m - 1) // 2
+
+
+def _sp_dim(big: int) -> int:
+    """dim sp(n) = n(2n + 1), from big = 2n."""
+    return big * (big + 1) // 2
+
+
+@_stacked(_su_dim)
 def _su_basis(m: int) -> Iterator[np.ndarray]:
     """Orthonormal basis of su(m) under <X,Y> = -Re tr(XY)."""
     rt2 = math.sqrt(2.0)
@@ -163,7 +192,7 @@ def _su_basis(m: int) -> Iterator[np.ndarray]:
         yield 1j * np.diag(v).astype(complex) / math.sqrt(l + l * l)
 
 
-@_stacked(lambda m: m * (m - 1) // 2)
+@_stacked(_so_dim)
 def _so_basis(m: int) -> Iterator[np.ndarray]:
     rt2 = math.sqrt(2.0)
     for j in range(m):
@@ -174,7 +203,7 @@ def _so_basis(m: int) -> Iterator[np.ndarray]:
             yield a / rt2
 
 
-@_stacked(lambda big: big * (big + 1) // 2)
+@_stacked(_sp_dim)
 def _sp_basis(big: int) -> Iterator[np.ndarray]:
     """Orthonormal basis of sp(n) inside u(2n), big = 2n:
     X = [[P, Q], [-Q*, -P^T]] with P anti-Hermitian and Q complex symmetric."""
@@ -249,6 +278,44 @@ def _sp_roots(w: np.ndarray) -> np.ndarray:
     """sp(n), complexified J^-1 times the symmetric matrices: |w_j + w_k| for j <= k."""
     j, k = np.triu_indices(len(w))
     return np.abs(w[j] + w[k])
+
+
+# Orthogonal projectors onto each algebra for the real pairing Re tr(X* Y),
+# in which the basis is orthonormal: closed forms of
+# from_coords(to_coords(x)), O(N^2) and with no basis.
+
+
+def _u_project(x: np.ndarray) -> np.ndarray:
+    """u(N): the anti-Hermitian part."""
+    return (x - x.conj().T) / 2.0
+
+
+def _su_project(x: np.ndarray) -> np.ndarray:
+    """su(N): the anti-Hermitian part A less (tr A / N) I."""
+    a = _u_project(x)
+    return a - np.trace(a) / len(a) * np.eye(len(a))
+
+
+def _so_project(x: np.ndarray) -> np.ndarray:
+    """so(N): the real antisymmetric part."""
+    return ((x - x.T) / 2.0).real
+
+
+def _sp_project(x: np.ndarray) -> np.ndarray:
+    """sp(n): (A + J A^T J)/2 for the anti-Hermitian part A. sp(n) is where
+    A^T J + J A = 0, that is A = J A^T J, and A -> J A^T J is an orthogonal
+    involution of u(2n); J A^T J is written out in n x n blocks."""
+    a = _u_project(x)
+    n = len(a) // 2
+    t = a.T
+    jtj = np.block([[-t[n:, n:], t[n:, :n]], [t[:n, n:], -t[:n, :n]]])
+    return (a + jtj) / 2.0
+
+
+# Each algebra's facts, spread into the records of the families realized on it.
+_SU = dict(basis=_su_basis, dim_g=_su_dim, roots=_su_roots, project=_su_project)
+_SO = dict(basis=_so_basis, dim_g=_so_dim, roots=_so_roots, project=_so_project)
+_SP = dict(basis=_sp_basis, dim_g=_sp_dim, roots=_sp_roots, project=_sp_project)
 
 
 # Canonical elements of extrinsically symmetric type.
@@ -343,8 +410,9 @@ def _spin_center(n: int) -> tuple:
 _FAMILIES = {
     "AI": FamilySpec(
         pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q,
-        basis=_su_basis, roots=_su_roots,
+        **_SU,
         sigma_conj=True, sigma_matrix=lambda p, q: _eye(p + q),
+        k_dim=lambda p, q: _so_dim(p + q),  # so(p+q)
         space_name=lambda p, q: f"SU({p + q})/SO({p + q})",
         orbit_name=lambda p, q: f"SO({p + q})/S(O({p})xO({q}))",
         closed_form="diagonal-phase", canonical=_phase_element,
@@ -356,8 +424,9 @@ _FAMILIES = {
     ),
     "AII": FamilySpec(
         pq=True, lower_bound=2, ambient_dim=lambda p, q: 2 * (p + q),
-        basis=_su_basis, roots=_su_roots,
+        **_SU,
         sigma_conj=True, sigma_matrix=lambda p, q: _j_matrix(p + q),
+        k_dim=lambda p, q: _sp_dim(2 * (p + q)),  # sp(p+q)
         space_name=lambda p, q: f"SU({2 * (p + q)})/Sp({p + q})",
         orbit_name=lambda p, q: f"Sp({p + q})/Sp({p})xSp({q})",
         closed_form="diagonal-phase", canonical=lambda p, q: _phase_element(p, q, copies=2),
@@ -365,8 +434,9 @@ _FAMILIES = {
     ),
     "AIII": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
-        basis=_su_basis, roots=_su_roots,
+        **_SU,
         sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
+        k_dim=lambda n: 2 * n * n - 1,  # s(u(n)+u(n))
         space_name=lambda n: f"SU({2 * n})/S(U({n})xU({n}))",
         orbit_name=lambda n: f"U({n})",
         closed_form="half-angle", canonical=lambda n: _half_swap(n, 2),
@@ -376,8 +446,9 @@ _FAMILIES = {
     "BDI_rank1": FamilySpec(
         # p + q = 2 would give the abelian SO(2).
         pq=True, lower_bound=3, ambient_dim=lambda p, q: p + q,
-        basis=_so_basis, roots=_so_roots,
+        **_SO,
         sigma_conj=False, sigma_matrix=_signature,
+        k_dim=lambda p, q: _so_dim(p) + _so_dim(q),  # so(p)+so(q)
         space_name=lambda p, q: f"SO({p + q})/SO({p})xSO({q})",
         orbit_name=lambda p, q: f"(S^{p - 1}xS^{q - 1})/Z2",
         closed_form="rotation-block", canonical=lambda p, q: _rotation(p, p + q),
@@ -388,8 +459,9 @@ _FAMILIES = {
     "BDI_split": FamilySpec(
         # n = 1 would give the abelian SO(2).
         pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n,
-        basis=_so_basis, roots=_so_roots,
+        **_SO,
         sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
+        k_dim=lambda n: 2 * _so_dim(n),  # so(n)+so(n)
         space_name=lambda n: f"SO({2 * n})/SO({n})xSO({n})",
         orbit_name=lambda n: f"SO({n})",
         closed_form="half-angle", canonical=lambda n: 0.5 * _j_matrix(n),
@@ -400,8 +472,9 @@ _FAMILIES = {
     ),
     "DIII": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n,
-        basis=_so_basis, roots=_so_roots,
+        **_SO,
         sigma_conj=False, sigma_matrix=lambda n: _j_matrix(2 * n),
+        k_dim=lambda n: 4 * n * n,  # u(2n)
         space_name=lambda n: f"SO({4 * n})/U({2 * n})",
         orbit_name=lambda n: f"U({2 * n})/Sp({n})",
         closed_form="half-angle",
@@ -411,8 +484,9 @@ _FAMILIES = {
     ),
     "CI": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
-        basis=_sp_basis, roots=_sp_roots,
+        **_SP,
         sigma_conj=False, sigma_matrix=_j_matrix,
+        k_dim=lambda n: n * n,  # u(n)
         space_name=lambda n: f"Sp({n})/U({n})",
         orbit_name=lambda n: f"U({n})/SO({n})",
         closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
@@ -421,8 +495,9 @@ _FAMILIES = {
     ),
     "CII": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n,
-        basis=_sp_basis, roots=_sp_roots,
+        **_SP,
         sigma_conj=False, sigma_matrix=_double_signature,
+        k_dim=lambda n: 2 * _sp_dim(2 * n),  # sp(n)+sp(n)
         space_name=lambda n: f"Sp({2 * n})/Sp({n})xSp({n})",
         orbit_name=lambda n: f"Sp({n})",
         closed_form="half-angle", canonical=lambda n: _half_swap(n, 4),
@@ -430,8 +505,9 @@ _FAMILIES = {
     ),
     "GRP_a": FamilySpec(
         pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q,
-        basis=_su_basis, roots=_su_roots,
+        **_SU,
         sigma_conj=True, sigma_matrix=lambda p, q: _eye(p + q),
+        k_dim=lambda p, q: _so_dim(p + q),  # so(p+q)
         space_name=lambda p, q: f"SU({p + q})",
         orbit_name=lambda p, q: f"SU({p + q})/S(U({p})xU({q}))",
         closed_form="diagonal-phase", canonical=_phase_element,
@@ -442,8 +518,9 @@ _FAMILIES = {
     "GRP_bd": FamilySpec(
         # n <= 2 would give the abelian SO(2) or less.
         pq=False, lower_bound=3, ambient_dim=lambda n: n,
-        basis=_so_basis, roots=_so_roots,
+        **_SO,
         sigma_conj=False, sigma_matrix=lambda n: _signature(1, n - 1),
+        k_dim=lambda n: _so_dim(n - 1),  # so(n-1)
         space_name=lambda n: f"Spin({n})",
         orbit_name=lambda n: f"SO({n})/(SO(2)xSO({n - 2}))",
         closed_form="rotation-block", canonical=lambda n: _rotation(1, n),
@@ -452,8 +529,9 @@ _FAMILIES = {
     ),
     "GRP_c": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
-        basis=_sp_basis, roots=_sp_roots,
+        **_SP,
         sigma_conj=False, sigma_matrix=_j_matrix,
+        k_dim=lambda n: n * n,  # u(n)
         space_name=lambda n: f"Sp({n})",
         orbit_name=lambda n: f"Sp({n})/U({n})",
         closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
@@ -463,8 +541,9 @@ _FAMILIES = {
     "GRP_d": FamilySpec(
         # n = 1 would give the abelian SO(2).
         pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n,
-        basis=_so_basis, roots=_so_roots,
+        **_SO,
         sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
+        k_dim=lambda n: 2 * _so_dim(n),  # so(n)+so(n)
         space_name=lambda n: f"Spin({2 * n})",
         orbit_name=lambda n: f"SO({2 * n})/U({n})",
         closed_form="half-angle", canonical=lambda n: 0.5 * _j_matrix(n),
@@ -582,20 +661,22 @@ class SpaceFamily:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class SpaceInstance:
-    """A realized symmetric space: ambient size, orthonormal basis of g,
-    the involution, dimension split, and group-theoretic side data.
+    """A realized symmetric space: ambient size, the involution, dimension
+    split, and group-theoretic side data.
 
-    basis_tensor stacks the basis as a (dim_g, N, N) array; basis_vecs
-    holds the matching real flattenings, so coordinates of X in the basis
-    are basis_vecs @ mat_to_vec(X)."""
+    The basis data is built on first use, at most once per instance:
+    basis_tensor stacks the orthonormal basis of g as a
+    (dim_g, N, N) array; basis_vecs holds the matching real flattenings, so
+    coordinates of X in the basis are basis_vecs @ mat_to_vec(X); and
+    sigma_coords is the involution in those coordinates. Their readers are
+    to_coords, from_coords, the d x d route of the spindle module (ad_matrix
+    and its callers) and verify's structural checks. dim_g, k_dim, p_dim and
+    the tangency test need none of it."""
 
     family: SpaceFamily
     ambient_dim: int
-    basis_tensor: np.ndarray
-    basis_vecs: np.ndarray
     sigma_conj: bool
     sigma_matrix: np.ndarray
-    sigma_coords: np.ndarray
     k_dim: int
     p_dim: int
     center_order: int | None
@@ -604,37 +685,68 @@ class SpaceInstance:
 
     @property
     def dim_g(self) -> int:
-        return self.basis_tensor.shape[0]
+        return self.family._spec.dim_g(self.ambient_dim)
 
-    def apply_sigma(self, x) -> np.ndarray:
+    @cached_property
+    def basis_tensor(self) -> np.ndarray:
+        return self.family._spec.basis(self.ambient_dim)
+
+    @cached_property
+    def basis_vecs(self) -> np.ndarray:
+        return mat_to_vec(self.basis_tensor)
+
+    @cached_property
+    def sigma_coords(self) -> np.ndarray:
+        """The involution in coordinates. The basis is orthonormal for
+        <X,Y> = -Re tr(XY), so this is a symmetric orthogonal matrix, and
+        its trace must give the family's k_dim."""
+        tensor = self.basis_tensor
+        core = tensor.conj() if self.sigma_conj else tensor
+        sig_tensor = self.sigma_matrix @ core @ self.sigma_matrix.conj().T
+        coords = self.basis_vecs @ mat_to_vec(sig_tensor).T
+        trace = float(np.trace(coords))
+        k_dim_f = (self.dim_g + trace) / 2.0
+        if abs(k_dim_f - self.k_dim) > 1e-6:
+            raise SpindleError(
+                f"{self.family}: involution trace {trace} gives k-dimension {k_dim_f}, "
+                f"not {self.k_dim}"
+            )
+        return coords
+
+    def _matrix(self, x) -> np.ndarray:
+        """x as a square matrix of the ambient size."""
         m = ensure_square(x)
         if m.shape[0] != self.ambient_dim:
             raise DimensionMismatchError(
                 f"{self.family}: expected size {self.ambient_dim}, got {m.shape[0]}"
             )
+        return m
+
+    def apply_sigma(self, x) -> np.ndarray:
+        m = self._matrix(x)
         core = m.conj() if self.sigma_conj else m
         return self.sigma_matrix @ core @ self.sigma_matrix.conj().T
 
     def to_coords(self, x) -> np.ndarray:
-        return self.basis_vecs @ mat_to_vec(x)
+        return self.basis_vecs @ mat_to_vec(self._matrix(x))
 
     def from_coords(self, coords) -> np.ndarray:
         return np.tensordot(np.asarray(coords, dtype=float), self.basis_tensor, axes=1)
 
     def algebra_residual(self, x) -> float:
-        """Max-norm distance from x to the span of the basis."""
-        m = ensure_square(x)
-        return float(np.max(np.abs(m - self.from_coords(self.to_coords(m)))))
+        """Max-norm distance from x to g, through the algebra's orthogonal
+        projector (the closed form of from_coords(to_coords(x)))."""
+        m = self._matrix(x)
+        return float(np.max(np.abs(m - self.family._spec.project(m))))
 
     def contains_tangent(self, x, eps: float | None = None) -> bool:
         """True iff x lies in p: in the algebra and sigma(x) = -x."""
         tol = resolve_eps(eps)
-        m = ensure_square(x)
-        if self.algebra_residual(m) > tol * (1.0 + float(np.max(np.abs(m)))):
+        m = self._matrix(x)
+        bound = tol * (1.0 + float(np.max(np.abs(m))))
+        if self.algebra_residual(m) > bound:
             return False
-        return float(np.max(np.abs(self.apply_sigma(m) + m))) <= tol * (
-            1.0 + float(np.max(np.abs(m)))
-        )
+        return float(np.max(np.abs(self.apply_sigma(m) + m))) <= bound
 
     def __repr__(self) -> str:
         return (
@@ -646,40 +758,20 @@ class SpaceInstance:
 def build_space(family: SpaceFamily) -> SpaceInstance:
     """Assemble the matrix realization of a family member.
 
-    The basis is orthonormal for <X,Y> = -Re tr(XY), so the involution
-    becomes a symmetric orthogonal matrix in coordinates and the k/p
-    dimensions drop out of its trace.
-    """
+    The work is O(N^2): the involution's N x N matrix and the dimensions
+    from the family's formulas. The basis and the involution in
+    coordinates are left to the first caller that reads them."""
     spec = family._spec
     n_amb = family.ambient_dim
-    tensor = spec.basis(n_amb)
-    vecs = mat_to_vec(tensor)
-    conj = spec.sigma_conj
-    smat = spec.sigma_matrix(*family.params)
-    core = tensor.conj() if conj else tensor
-    sig_tensor = smat @ core @ smat.conj().T
-    sigma_coords = vecs @ mat_to_vec(sig_tensor).T
-
-    d = tensor.shape[0]
-    trace = float(np.trace(sigma_coords))
-    k_dim_f = (d + trace) / 2.0
-    k_dim = int(round(k_dim_f))
-    if abs(k_dim_f - k_dim) > 1e-6:
-        raise SpindleError(
-            f"{family}: involution trace {trace} does not give an integral k-dimension"
-        )
-
+    k_dim = spec.k_dim(*family.params)
     order, provenance = spec.center(*family.params)
     return SpaceInstance(
         family=family,
         ambient_dim=n_amb,
-        basis_tensor=tensor,
-        basis_vecs=vecs,
-        sigma_conj=conj,
-        sigma_matrix=smat,
-        sigma_coords=sigma_coords,
+        sigma_conj=spec.sigma_conj,
+        sigma_matrix=spec.sigma_matrix(*family.params),
         k_dim=k_dim,
-        p_dim=d - k_dim,
+        p_dim=spec.dim_g(n_amb) - k_dim,
         center_order=order,
         center_provenance=provenance,
         cover_multiplier=family.cover_multiplier,
@@ -700,11 +792,7 @@ def isotropy_contains(space: SpaceInstance, g, eps: float | None = None) -> bool
     """Membership of a unitary g in the isotropy subgroup K (for group
     families: the condition g^2 = I equivalent to exp(t xi) = exp(-t xi))."""
     tol = resolve_eps(eps)
-    m = ensure_square(g)
-    if m.shape[0] != space.ambient_dim:
-        raise DimensionMismatchError(
-            f"{space.family}: expected size {space.ambient_dim}, got {m.shape[0]}"
-        )
+    m = space._matrix(g)
     if not is_unitary(m, tol):
         raise NotUnitaryError(f"{space.family}: isotropy test requires a unitary matrix")
     family = space.family

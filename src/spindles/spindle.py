@@ -18,9 +18,11 @@ table value directly.
 
 The spectrum of ad(xi) also has two routes. spindle_number reads it off the
 N eigenvalues of xi through the family's root rule, in O(N^3), and builds
-no dim g x dim g matrix. ad_matrix, ad_spectrum, cartan_split,
-is_extrinsically_symmetric_type and normalize_canonical diagonalize the
-matrix of ad(xi) on g instead; they are the independent second route.
+no dim g x dim g matrix and no basis. ad_matrix, ad_spectrum,
+cartan_split, is_extrinsically_symmetric_type and normalize_canonical
+diagonalize the matrix of ad(xi) on g instead; they are the independent
+second route, and the first call of one on a space builds its basis and
+sigma_coords (O(dim g^2 N^2) time and memory).
 """
 
 from __future__ import annotations

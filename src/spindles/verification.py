@@ -276,7 +276,8 @@ def product_pair_checks(lambdas: dict) -> list:
 def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     """(results, lambda or None) of the battery for one family. The space
     is local here, so its basis is freed before the next family's is built;
-    build_space of the largest space sets the battery's peak memory."""
+    the basis and sigma_coords of the largest space, built on first use by
+    structural_checks, set the battery's peak memory."""
     space = build_space(family)
     name = str(family)
     results = structural_checks(space, eps)
