@@ -24,6 +24,7 @@ import os
 import sys
 
 from .errors import (
+    CatalogInconsistencyError,
     MembershipSearchError,
     MethodDisagreementError,
     ParameterError,
@@ -339,7 +340,11 @@ def main(argv=None) -> int:
     try:
         args.eps = _run_eps(args.eps)
         return args.func(args)
-    except (MethodDisagreementError, MembershipSearchError) as exc:
+    except (
+        CatalogInconsistencyError,
+        MethodDisagreementError,
+        MembershipSearchError,
+    ) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except SpindleError as exc:

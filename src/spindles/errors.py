@@ -65,5 +65,10 @@ class MembershipSearchError(SpindleError, RuntimeError):
     return time (inconsistent catalog data)."""
 
 
+class CatalogInconsistencyError(SpindleError, RuntimeError):
+    """Two facts the catalog states about one family disagree, such as
+    the k-dimension formula and the trace of the involution."""
+
+
 class MethodDisagreementError(SpindleError, RuntimeError):
     """Exact and numeric spindle computations disagree."""

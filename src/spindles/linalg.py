@@ -126,7 +126,7 @@ def rationalize(x: float, max_den: int = MAX_PHASE_DENOMINATOR, tol: float = 1e-
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalAngle:
     """The angle (num/den) * pi, stored in lowest terms with den >= 1.
 
@@ -146,9 +146,14 @@ class RationalAngle:
     den: int = 1
 
     def __post_init__(self):
-        f = Fraction(self.num, self.den)  # raises ZeroDivisionError on den == 0
-        object.__setattr__(self, "num", f.numerator)
-        object.__setattr__(self, "den", f.denominator)
+        num, den = self.num, self.den
+        if den == 0:
+            raise ZeroDivisionError(f"RationalAngle({num}, 0)")
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "RationalAngle":
@@ -187,23 +192,25 @@ class RationalAngle:
     def is_half_integer(self) -> bool:
         return self.den == 2
 
-    def _mod2(self) -> Fraction:
-        return self.fraction % 2
+    def _mod2(self) -> float:
+        """The angle over pi reduced to [0, 2). In lowest terms, the integer
+        remainder over den is the same rational as Fraction(num, den) % 2,
+        and int / int rounds it correctly, as float(Fraction) does."""
+        return (self.num % (2 * self.den)) / self.den
 
     def sin(self) -> float:
         if self.den == 1:
             return 0.0
-        r = self._mod2()  # in [0, 2)
         if self.den == 2:
-            return 1.0 if r == Fraction(1, 2) else -1.0
-        return math.sin(math.pi * float(r))
+            return 1.0 if self.num % 4 == 1 else -1.0
+        return math.sin(math.pi * self._mod2())
 
     def cos(self) -> float:
         if self.den == 1:
             return 1.0 if self.num % 2 == 0 else -1.0
         if self.den == 2:
             return 0.0
-        return math.cos(math.pi * float(self._mod2()))
+        return math.cos(math.pi * self._mod2())
 
     # Exact arithmetic. Multiplication is by exact scalars only.
     def __add__(self, other: "RationalAngle") -> "RationalAngle":
@@ -237,12 +244,19 @@ def exp_generic(a, t: float = 1.0, eps: float | None = None) -> np.ndarray:
     Exact up to eigensolver roundoff and unitary to machine precision;
     the closed forms are cross-checked against this.
     """
+    (out,) = _exp_generic_many(a, (t,), eps)
+    return out
+
+
+def _exp_generic_many(a, times, eps: float | None = None) -> list:
+    """[exp(t*a) for t in times] from one eigendecomposition of -i*a."""
     m = ensure_square(a)
     if not is_anti_hermitian(m, eps):
         raise NotAntiHermitianError("exp_generic requires an anti-Hermitian matrix")
     w, v = np.linalg.eigh(-1j * m)
+    vh = v.conj().T
     # a = i v diag(w) v*, hence exp(t a) = v diag(exp(i t w)) v*.
-    return (v * np.exp(1j * float(t) * w)) @ v.conj().T
+    return [(v * np.exp(1j * float(t) * w)) @ vh for t in times]
 
 
 def _phase_entry(theta: RationalAngle) -> complex:

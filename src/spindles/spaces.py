@@ -61,10 +61,10 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import (
+    CatalogInconsistencyError,
     DimensionMismatchError,
     NotUnitaryError,
     ParameterError,
-    SpindleError,
 )
 from .linalg import (
     RationalAngle,
@@ -700,14 +700,11 @@ class SpaceInstance:
         """The involution in coordinates. The basis is orthonormal for
         <X,Y> = -Re tr(XY), so this is a symmetric orthogonal matrix, and
         its trace must give the family's k_dim."""
-        tensor = self.basis_tensor
-        core = tensor.conj() if self.sigma_conj else tensor
-        sig_tensor = self.sigma_matrix @ core @ self.sigma_matrix.conj().T
-        coords = self.basis_vecs @ mat_to_vec(sig_tensor).T
+        coords = self.basis_vecs @ mat_to_vec(self._sigma(self.basis_tensor)).T
         trace = float(np.trace(coords))
         k_dim_f = (self.dim_g + trace) / 2.0
         if abs(k_dim_f - self.k_dim) > 1e-6:
-            raise SpindleError(
+            raise CatalogInconsistencyError(
                 f"{self.family}: involution trace {trace} gives k-dimension {k_dim_f}, "
                 f"not {self.k_dim}"
             )
@@ -722,10 +719,14 @@ class SpaceInstance:
             )
         return m
 
-    def apply_sigma(self, x) -> np.ndarray:
-        m = self._matrix(x)
+    def _sigma(self, m: np.ndarray) -> np.ndarray:
+        """sigma on a matrix, or on each matrix of a (..., N, N) stack,
+        without the checks of apply_sigma."""
         core = m.conj() if self.sigma_conj else m
         return self.sigma_matrix @ core @ self.sigma_matrix.conj().T
+
+    def apply_sigma(self, x) -> np.ndarray:
+        return self._sigma(self._matrix(x))
 
     def to_coords(self, x) -> np.ndarray:
         return self.basis_vecs @ mat_to_vec(self._matrix(x))

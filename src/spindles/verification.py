@@ -32,7 +32,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateElementError
-from .linalg import RationalAngle, commutator, exp_generic, exp_structured, resolve_eps
+from .linalg import (
+    RationalAngle,
+    _exp_generic_many,
+    exp_structured,
+    mat_to_vec,
+    resolve_eps,
+)
 from .spaces import (
     SpaceInstance,
     build_space,
@@ -68,17 +74,36 @@ class CheckResult:
         return f"{status:4s} {self.name}{suffix}"
 
 
-def _pairs(dim: int, seed: int = 0) -> list:
+def _pairs(dim: int, seed: int = 0) -> tuple:
+    """Index arrays (i, j) of the bracket pairs checked in an algebra of
+    this dimension: every i < j up to EXHAUSTIVE_CLOSURE_DIM, above it
+    RANDOM_CLOSURE_TRIALS seeded draws."""
     if dim <= EXHAUSTIVE_CLOSURE_DIM:
-        return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        return np.triu_indices(dim, k=1)
     rng = random.Random(seed)
-    return [
-        (rng.randrange(dim), rng.randrange(dim)) for _ in range(RANDOM_CLOSURE_TRIALS)
-    ]
+    pairs = [(rng.randrange(dim), rng.randrange(dim)) for _ in range(RANDOM_CLOSURE_TRIALS)]
+    return tuple(np.array(pairs).T)
+
+
+def _brackets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Commutators of two (P, N, N) stacks, pair by pair."""
+    return a @ b - b @ a
+
+
+def _max_dev(residual: np.ndarray, scale: np.ndarray) -> float:
+    """max over pairs of max|residual| / scale."""
+    return float(np.max(np.max(np.abs(residual), axis=(1, 2)) / scale))
 
 
 def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
-    """Basis/involution/bracket invariants for one space."""
+    """Basis/involution/bracket invariants for one space.
+
+    Besides the basis data of the space (basis_tensor, basis_vecs,
+    sigma_coords), each bracket check builds (P, N, N) stacks for its P
+    sampled pairs only: the two factors, their brackets and what the check
+    compares them with (the coordinate round trip, the brackets of the
+    sigma images). The graded check takes its factors from the sigma
+    eigenvectors that the pairs index, not from all dim_g of them."""
     tol = resolve_eps(eps)
     name = str(space.family)
     results = []
@@ -114,18 +139,15 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
         CheckResult(f"{name}:canonical_element_tangent", space.contains_tangent(xi, eps))
     )
 
-    closure_dev = 0.0
-    auto_dev = 0.0
-    for i, j in _pairs(space.dim_g):
-        b = commutator(space.basis_tensor[i], space.basis_tensor[j])
-        back = space.from_coords(space.to_coords(b))
-        scale = 1.0 + float(np.max(np.abs(b)))
-        closure_dev = max(closure_dev, float(np.max(np.abs(b - back))) / scale)
-        sb = commutator(
-            space.apply_sigma(space.basis_tensor[i]),
-            space.apply_sigma(space.basis_tensor[j]),
-        )
-        auto_dev = max(auto_dev, float(np.max(np.abs(space.apply_sigma(b) - sb))) / scale)
+    basis = space.basis_tensor
+    i, j = _pairs(space.dim_g)
+    a, b = basis[i], basis[j]
+    br = _brackets(a, b)
+    scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
+    back = np.tensordot(mat_to_vec(br) @ v.T, basis, axes=1)
+    closure_dev = _max_dev(br - back, scale)
+    sa, sb = space._sigma(a), space._sigma(b)
+    auto_dev = _max_dev(space._sigma(br) - _brackets(sa, sb), scale)
     results.append(
         CheckResult(f"{name}:bracket_closure", closure_dev <= tol, f"max dev {closure_dev:.2e}")
     )
@@ -139,15 +161,15 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
     # eigenspace ([k,k] and [p,p] in k, [k,p] in p).
     ew, ev = np.linalg.eigh((s + s.T) / 2.0)
     signs = np.where(ew > 0.0, 1.0, -1.0)
-    mats = np.tensordot(ev.T, space.basis_tensor, axes=1)
-    graded_dev = 0.0
-    for i, j in _pairs(space.dim_g, seed=1):
-        b = commutator(mats[i], mats[j])
-        c = space.to_coords(b)
-        want = signs[i] * signs[j]
-        wrong = (c - want * (s @ c)) / 2.0
-        scale = 1.0 + float(np.max(np.abs(b)))
-        graded_dev = max(graded_dev, float(np.linalg.norm(wrong)) / scale)
+    i, j = _pairs(space.dim_g, seed=1)
+    br = _brackets(
+        np.tensordot(ev.T[i], basis, axes=1), np.tensordot(ev.T[j], basis, axes=1)
+    )
+    c = mat_to_vec(br) @ v.T
+    want = (signs[i] * signs[j])[:, None]
+    wrong = (c - want * (c @ s.T)) / 2.0
+    scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
+    graded_dev = float(np.max(np.linalg.norm(wrong, axis=1) / scale))
     results.append(
         CheckResult(
             f"{name}:graded_bracket_closure", graded_dev <= tol, f"max dev {graded_dev:.2e}"
@@ -157,14 +179,15 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
 
 
 def exp_agreement_check(space: SpaceInstance, eps: float | None = None) -> CheckResult:
-    """Closed-form exp(t*xi) vs the eigendecomposition route on t = k*pi/6."""
+    """Closed-form exp(t*xi) vs the eigendecomposition route on t = k*pi/6,
+    with one eigendecomposition of xi for all 25 angles."""
     xi = canonical_element(space.family)
     form = space.family.closed_form
+    angles = [RationalAngle(k, 6) for k in range(25)]
+    closed = [exp_structured(xi, t, form, eps) for t in angles]
+    generic = _exp_generic_many(xi, [t.radians for t in angles], eps)
     worst = 0.0
-    for k in range(25):
-        t = RationalAngle(k, 6)
-        a = exp_structured(xi, t, form, eps)
-        b = exp_generic(xi, t.radians, eps)
+    for a, b in zip(closed, generic):
         worst = max(worst, float(np.max(np.abs(a - b))))
     return CheckResult(
         f"{space.family}:exp_closed_form_agrees", worst <= 1e-9, f"max dev {worst:.2e}"
@@ -277,7 +300,10 @@ def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     """(results, lambda or None) of the battery for one family. The space
     is local here, so its basis is freed before the next family's is built;
     the basis and sigma_coords of the largest space, built on first use by
-    structural_checks, set the battery's peak memory."""
+    structural_checks, set the battery's peak memory. The other arrays of
+    the battery are smaller: the (P, N, N) pair stacks of the bracket
+    checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above), the
+    25 N x N exponentials of the exp scan and the dim_g x dim_g ad(xi)."""
     space = build_space(family)
     name = str(family)
     results = structural_checks(space, eps)

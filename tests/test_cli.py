@@ -179,6 +179,18 @@ class TestVerify:
         assert "canonical" in out
         assert "FAIL" in out
 
+    def test_wrong_k_dim_formula_is_a_verification_failure(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from spindles import spaces
+
+        aiii = replace(spaces._FAMILIES["AIII"], k_dim=lambda n: 2 * n * n)
+        monkeypatch.setitem(spaces._FAMILIES, "AIII", aiii)
+        code, _, err = run(capsys, "verify", "--cap", "2")
+        assert code == 1
+        assert err.startswith("verification failure: AIII(1): ")
+        assert "k-dimension 1.0, not 2" in err
+
     def test_pair_product(self, capsys):
         code, out, _ = run(capsys, "verify", "--pair", "2", "3")
         assert code == 0

@@ -3,18 +3,24 @@
 tests/golden_rows.json holds a short SHA-256 digest of every cap-6
 catalog row, as catalog_entry and as SpindleReport.to_json_dict (JSON
 with sorted keys), of the to_json_dict rows of eight N=40 spaces at their
-canonical element, of the file written by `table --cap 3 --json`, and of
+canonical element, of the file written by `table --cap 3 --json`, of
 the stdout of `verify --cap 3 --verbose` at the default eps and at eps 0.1
-(where every slice_zero_iff_knot check fails, since sin(pi/60) < 0.1).
+(where every slice_zero_iff_knot check fails, since sin(pi/60) < 0.1),
+and of the stdout of the whole cap-6 battery, `verify --cap 6 --verbose`
+(2,752 checks, every printed residual included, run with one BLAS thread).
 Any change to a key, a value or a float's last digit shows up here.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from pathlib import Path
 
+import spindles
 from spindles import SpaceFamily, build_space, catalog_entry, spindle_number
 from spindles.cli import main
 
@@ -80,3 +86,21 @@ def test_verify_stdout(eps_args, code, key, monkeypatch, capsys):
     assert main([*eps_args, "verify", "--cap", "3", "--verbose"]) == code
     out = capsys.readouterr().out
     assert digest(out.encode()) == GOLDEN[key]
+
+
+def test_verify_cap6_stdout():
+    # The cap-6 battery multiplies matrices large enough for OpenBLAS to
+    # split them over threads, and the split moves last digits of the
+    # printed residuals. The digest is of the one-thread output, so the CLI
+    # runs in a child process with BLAS pinned to one thread.
+    env = {k: v for k, v in os.environ.items() if k != "SPINDLE_EPS"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(spindles.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys; from spindles.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--cap", "6", "--verbose"],
+        env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert digest(proc.stdout) == GOLDEN["verify_cap6_verbose"]
