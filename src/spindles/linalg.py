@@ -244,19 +244,27 @@ def exp_generic(a, t: float = 1.0, eps: float | None = None) -> np.ndarray:
     Exact up to eigensolver roundoff and unitary to machine precision;
     the closed forms are cross-checked against this.
     """
-    (out,) = _exp_generic_many(a, (t,), eps)
-    return out
+    return _exp_generic_many(a, (t,), eps)[0]
 
 
 def _exp_generic_many(a, times, eps: float | None = None) -> list:
     """[exp(t*a) for t in times] from one eigendecomposition of -i*a."""
+    w, v = _eigh_anti_hermitian(a, eps, "exp_generic")
+    return [_exp_eigh(w, v, t) for t in times]
+
+
+def _eigh_anti_hermitian(a, eps: float | None, caller: str) -> tuple:
+    """(w, v) with a = i v diag(w) v*. eigh reads one triangle only, so a
+    must pass the anti-Hermitian test first; the refusal names the caller."""
     m = ensure_square(a)
     if not is_anti_hermitian(m, eps):
-        raise NotAntiHermitianError("exp_generic requires an anti-Hermitian matrix")
-    w, v = np.linalg.eigh(-1j * m)
-    vh = v.conj().T
-    # a = i v diag(w) v*, hence exp(t a) = v diag(exp(i t w)) v*.
-    return [(v * np.exp(1j * float(t) * w)) @ vh for t in times]
+        raise NotAntiHermitianError(f"{caller} requires an anti-Hermitian matrix")
+    return np.linalg.eigh(-1j * m)
+
+
+def _exp_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(t*a) = v diag(exp(i t w)) v* for a = i v diag(w) v*."""
+    return (v * np.exp(1j * float(t) * w)) @ v.conj().T
 
 
 def _phase_entry(theta: RationalAngle) -> complex:
@@ -277,10 +285,15 @@ def exp_structured(xi, t: RationalAngle, form: str, eps: float | None = None) ->
     are exactly 0 or +-1 come from the integer tests on the rational
     angle; everything else is floating point.
     """
+    return _exp_structured_many(xi, (t,), form, eps)[0]
+
+
+def _exp_structured_many(xi, angles, form: str, eps: float | None = None) -> list:
+    """[exp_structured(xi, t, form, eps) for t in angles], with the form's
+    identity checked and the diagonal of xi rationalized once."""
     m = ensure_square(xi)
     tol = resolve_eps(eps)
-    n = m.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(m.shape[0])
 
     if form == "diagonal-phase":
         off = m - np.diag(np.diagonal(m))
@@ -290,19 +303,18 @@ def exp_structured(xi, t: RationalAngle, form: str, eps: float | None = None) ->
         if float(np.max(np.abs(d.real))) > tol:
             raise FormIdentityError("diagonal-phase form needs purely imaginary diagonal")
         phases = [rationalize(v) for v in d.imag]
-        entries = [_phase_entry(t * f) for f in phases]
-        return np.diag(np.asarray(entries, dtype=complex))
+        return [np.diag([_phase_entry(t * f) for f in phases]) for t in angles]
 
     if form == "half-angle":
         if float(np.max(np.abs(m @ m + eye / 4))) > tol:
             raise FormIdentityError("half-angle form needs xi^2 = -I/4")
-        h = t * Fraction(1, 2)
-        return h.cos() * eye + (2.0 * h.sin()) * m
+        halves = [t * Fraction(1, 2) for t in angles]
+        return [h.cos() * eye + (2.0 * h.sin()) * m for h in halves]
 
     if form == "rotation-block":
         m2 = m @ m
         if float(np.max(np.abs(m2 @ m + m))) > tol:
             raise FormIdentityError("rotation-block form needs xi^3 = -xi")
-        return eye + t.sin() * m + (1.0 - t.cos()) * m2
+        return [eye + t.sin() * m + (1.0 - t.cos()) * m2 for t in angles]
 
     raise FormIdentityError(f"unknown closed form {form!r}; expected one of {CLOSED_FORMS}")

@@ -16,13 +16,15 @@ number by two independent methods that are asserted to agree:
 A third pure-arithmetic route (closed_form_lambda) gives the published
 table value directly.
 
-The spectrum of ad(xi) also has two routes. spindle_number reads it off the
-N eigenvalues of xi through the family's root rule, in O(N^3), and builds
-no dim g x dim g matrix and no basis. ad_matrix, ad_spectrum,
-cartan_split, is_extrinsically_symmetric_type and normalize_canonical
-diagonalize the matrix of ad(xi) on g instead; they are the independent
-second route, and the first call of one on a space builds its basis and
-sigma_coords (O(dim g^2 N^2) time and memory).
+The spectrum of ad(xi) also has two routes. spindle_number and
+normalize_canonical read it off the N eigenvalues of xi through the
+family's root rule, in O(N^3), and build no dim g x dim g matrix and no
+basis; spindle_number's one eigendecomposition of xi also serves its
+numeric scan and exp(pi*xi). ad_matrix, ad_spectrum, cartan_split and
+is_extrinsically_symmetric_type diagonalize the matrix of ad(xi) on g
+instead; they are the independent second route, and the first call of
+one on a space builds its basis and sigma_coords (O(dim g^2 N^2) time
+and memory).
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from .errors import (
 )
 from .linalg import (
     RationalAngle,
+    _eigh_anti_hermitian,
+    _exp_eigh,
     ensure_square,
     exp_generic,
     mat_to_vec,
@@ -238,21 +242,19 @@ def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
     return spec, column_groups, u
 
 
-def _root_spectrum(space: SpaceInstance, xi, tol: float) -> tuple:
-    """(spectrum, extrinsically symmetric) of ad(xi) from root data: one
-    eigvalsh of -i*xi, O(N^3) and no dim g x dim g matrix.
+def _root_spectrum(space: SpaceInstance, w: np.ndarray, tol: float) -> tuple:
+    """(spectrum, extrinsically symmetric) of ad(xi) from root data: the
+    eigenvalues w of -i*xi for a tangent xi, and no dim g x dim g matrix.
 
-    The family's root rule turns the eigenvalues into the frequencies of
-    ad(xi), one per real dimension of g, bucketed as in ad_spectrum. For
+    The family's root rule turns w into the frequencies of ad(xi), one per
+    real dimension of g, bucketed as in ad_spectrum. For
     nu > 0, ad(xi) maps k_nu onto p_nu and back (xi is in p), so such a
     cluster splits evenly; the zero cluster takes what is left of k_dim
     and p_dim. ad(xi) is normal with eigenvalues +-i*r, so ad^3 + ad has
     eigenvalues of modulus |r^3 - r|, and max |r^3 - r| <= tol bounds every
     entry of the d x d cube test as well.
     """
-    m = ensure_square(xi)
-    _require_tangent(space, m, tol)
-    nu = np.sort(space.family._spec.roots(np.linalg.eigvalsh(-1j * m)))
+    nu = np.sort(space.family._spec.roots(w))
     frequencies, groups = _frequency_clusters(space, nu)
     halves = []
     for freq, cols in zip(frequencies[1:], groups[1:]):
@@ -316,7 +318,8 @@ def normalize_canonical(space: SpaceInstance, xi, eps: float | None = None) -> n
     identifiable as small rationals: no rescaling makes them integers.
     """
     m = ensure_square(xi)
-    spec = ad_spectrum(space, m, eps)
+    _require_tangent(space, m, eps)
+    spec, _ = _root_spectrum(space, np.linalg.eigvalsh(-1j * m), resolve_eps(eps))
     positives = spec.positive_frequencies
     if not positives:
         raise DegenerateElementError(
@@ -505,15 +508,16 @@ def method_numeric(space: SpaceInstance, xi, eps: float | None = None) -> int:
 
     The scan terminates: with D the least common denominator of the
     rational eigenphases of xi, exp(2*D*pi*xi) = I, so n_max = 2*D."""
-    m = ensure_square(xi)
-    w, v = np.linalg.eigh(-1j * m)
+    return _return_scan(space, *_eigh_anti_hermitian(xi, eps, "method_numeric"), eps)
+
+
+def _return_scan(space: SpaceInstance, w: np.ndarray, v: np.ndarray, eps: float | None) -> int:
+    """method_numeric's scan, from the eigendecomposition xi = i v diag(w) v*."""
     phases = [rationalize(val) for val in w]
     d = math.lcm(*(f.denominator for f in phases))
     n_max = 2 * d
-    vh = v.conj().T
     for n in range(1, n_max + 1):
-        g = (v * np.exp(1j * n * math.pi * w)) @ vh
-        if isotropy_contains(space, g, eps):
+        if isotropy_contains(space, _exp_eigh(w, v, n * math.pi), eps):
             return n * space.cover_multiplier
     raise MembershipSearchError(
         f"{space.family}: no return to the isotropy group within n_max = {n_max} "
@@ -563,7 +567,11 @@ def adjoint_conjugation_flags(space: SpaceInstance, xi, eps: float | None = None
     g* sigma(g) = g^-2 and the two flags are the same condition; both are
     still computed, each from its own definition."""
     tol = resolve_eps(eps)
-    g = exp_generic(xi, math.pi, tol)
+    return _adjoint_flags(space, exp_generic(xi, math.pi, tol), tol)
+
+
+def _adjoint_flags(space: SpaceInstance, g: np.ndarray, tol: float) -> tuple:
+    """adjoint_conjugation_flags for the given g = exp(pi*xi)."""
     order_two = _is_scalar(g @ g, tol)
     commutes = _is_scalar(g.conj().T @ space.apply_sigma(g), tol)
     return order_two, commutes
@@ -646,14 +654,14 @@ def _symmetric_about(values: np.ndarray, centers) -> bool:
     return True
 
 
-def _report_checks(space, xi, spec, lam, ext_sym, exact, numeric, tol: float) -> dict:
-    """The per-row verification flags carried on a report, at tolerance tol."""
+def _report_checks(space, g, spec, lam, ext_sym, exact, numeric, tol: float) -> dict:
+    """The per-row verification flags of a report at tolerance tol; g = exp(pi*xi)."""
     checks: dict = {}
     checks["canonical"] = True
     checks["extrinsically_symmetric_type"] = ext_sym
     checks["methods_agree"] = exact == numeric
 
-    order_two, commutes = adjoint_conjugation_flags(space, xi, tol)
+    order_two, commutes = _adjoint_flags(space, g, tol)
     checks["adjoint_order_two"] = order_two
     checks["adjoint_commutes_with_involution"] = commutes
 
@@ -689,14 +697,16 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
     canonical element. The exact and numeric methods must agree.
 
     eps is resolved once here (None reads SPINDLE_EPS) and passed down as
-    a float. The spectrum comes from root data (_root_spectrum), so the
+    a float. One eigendecomposition xi = i v diag(w) v* gives the
+    spectrum (from root data), the return scan and g = exp(pi*xi), so the
     analysis is O(N^3) after build_space."""
     tol = resolve_eps(eps)
     if xi is None:
         xi = canonical_element(space.family)
-    m = ensure_square(xi)
+    _require_tangent(space, xi, tol)
+    w, v = _eigh_anti_hermitian(xi, tol, "spindle_number")
 
-    spec, ext_sym = _root_spectrum(space, m, tol)
+    spec, ext_sym = _root_spectrum(space, w, tol)
     if not is_canonical(spec):
         raise NotCanonicalError(
             f"{space.family}: spindle_number requires a canonical element, "
@@ -704,7 +714,7 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
         )
 
     exact = method_exact(space.family)
-    numeric = method_numeric(space, m, tol)
+    numeric = _return_scan(space, w, v, tol)
     if exact != numeric:
         raise MethodDisagreementError(
             f"{space.family}: exact method gives {exact}, numeric scan gives {numeric}"
@@ -713,12 +723,14 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
 
     knots = tuple(RationalAngle(n) for n in range(lam))
     centrioles = tuple(RationalAngle(2 * n + 1, 2) for n in range(lam))
-    profile = tuple(
-        (RationalAngle(k, 12), slice_dimension(spec, RationalAngle(k, 12), tol))
-        for k in range(12 * lam + 1)
-    )
+    # The slice at t = k*pi/12 counts dim p_nu for each integer frequency
+    # with sin(nu*t) != 0, that is with k*nu not a multiple of 12.
+    nu = np.array(integer_frequencies(spec))
+    dims = (np.arange(12 * lam + 1)[:, None] * nu % 12 != 0) @ np.array(spec.positive_mult_p)
+    profile = tuple((RationalAngle(k, 12), int(dim)) for k, dim in enumerate(dims))
 
-    checks = _report_checks(space, m, spec, lam, ext_sym, exact, numeric, tol)
+    g = _exp_eigh(w, v, math.pi)
+    checks = _report_checks(space, g, spec, lam, ext_sym, exact, numeric, tol)
     return SpindleReport(
         family=space.family,
         lambda_=lam,

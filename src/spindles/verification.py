@@ -35,7 +35,7 @@ from .errors import DegenerateElementError
 from .linalg import (
     RationalAngle,
     _exp_generic_many,
-    exp_structured,
+    _exp_structured_many,
     mat_to_vec,
     resolve_eps,
 )
@@ -180,11 +180,11 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
 
 def exp_agreement_check(space: SpaceInstance, eps: float | None = None) -> CheckResult:
     """Closed-form exp(t*xi) vs the eigendecomposition route on t = k*pi/6,
-    with one eigendecomposition of xi for all 25 angles."""
+    with one form check and one eigendecomposition of xi for all 25 angles."""
     xi = canonical_element(space.family)
     form = space.family.closed_form
     angles = [RationalAngle(k, 6) for k in range(25)]
-    closed = [exp_structured(xi, t, form, eps) for t in angles]
+    closed = _exp_structured_many(xi, angles, form, eps)
     generic = _exp_generic_many(xi, [t.radians for t in angles], eps)
     worst = 0.0
     for a, b in zip(closed, generic):
@@ -195,13 +195,13 @@ def exp_agreement_check(space: SpaceInstance, eps: float | None = None) -> Check
 
 
 def isotropy_scan_check(space: SpaceInstance, eps: float | None = None) -> CheckResult:
-    """isotropy predicate vs published membership condition on t = k*pi/6."""
+    """isotropy predicate vs published membership condition on t = k*pi/6,
+    with one closed-form check of xi for all angles."""
     xi = canonical_element(space.family)
-    form = space.family.closed_form
+    angles = [RationalAngle(k, 6) for k in range(0, 24 * space.cover_multiplier + 1)]
+    exps = _exp_structured_many(xi, angles, space.family.closed_form, eps)
     mismatches = []
-    for k in range(0, 24 * space.cover_multiplier + 1):
-        t = RationalAngle(k, 6)
-        g = exp_structured(xi, t, form, eps)
+    for k, (t, g) in enumerate(zip(angles, exps)):
         got = isotropy_contains(space, g, eps)
         want = stated_membership(space.family, t)
         if got != want:
@@ -303,7 +303,8 @@ def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     structural_checks, set the battery's peak memory. The other arrays of
     the battery are smaller: the (P, N, N) pair stacks of the bracket
     checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above), the
-    25 N x N exponentials of the exp scan and the dim_g x dim_g ad(xi)."""
+    25 N x N exponentials of the exp scan, the 25 or 49 of the isotropy
+    scan and the dim_g x dim_g ad(xi)."""
     space = build_space(family)
     name = str(family)
     results = structural_checks(space, eps)

@@ -17,7 +17,7 @@ from spindles.cli import main
 from spindles.errors import DimensionMismatchError, SpindleError
 from spindles.linalg import exp_generic
 from spindles.spaces import FAMILY_TAGS, SpaceFamily, build_space, canonical_element, sweep_families
-from spindles.spindle import ad_spectrum, closed_form_lambda, spindle_number
+from spindles.spindle import ad_spectrum, closed_form_lambda, normalize_canonical, spindle_number
 from test_golden import LARGE_FAMILIES
 from test_spectrum import CAP6, k_element, p_element, small_family
 
@@ -171,6 +171,16 @@ class TestNoBasisAtScale:
             report = spindle_number(space, x, EPS)
             assert report.lambda_ == closed_form_lambda(family)
             assert report.method_exact == report.method_numeric
+        assert not BASIS_KEYS & set(vars(space))
+
+    @pytest.mark.parametrize(
+        "params", LARGE_FAMILIES + (("AI", 100, 100),), ids=lambda p: str(SpaceFamily.make(*p))
+    )
+    def test_normalize_canonical(self, no_basis, params):
+        family = SpaceFamily.make(*params)
+        space = build_space(family)
+        xi = canonical_element(family)
+        assert float(np.max(np.abs(normalize_canonical(space, 3.0 * xi, EPS) - xi))) <= 1e-12
         assert not BASIS_KEYS & set(vars(space))
 
     def test_analyze_n200(self, no_basis, capsys):

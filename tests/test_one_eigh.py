@@ -1,0 +1,278 @@
+"""One eigendecomposition of xi per analysis, and the per-call code it replaced.
+
+spindle_number diagonalizes xi once and reads the spectrum, the return
+scan and exp(pi*xi) from it; the pi/12 slice profile comes from the
+integer frequencies in one array pass; normalize_canonical takes its
+frequencies from root data; the verify scans check and rationalize the
+closed form once per space. The oracles below are the earlier code,
+kept verbatim apart from names: the per-point slice_dimension profile,
+the d x d normalize_canonical and the single-angle exp_structured.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from spindles import linalg
+from spindles.errors import (
+    DegenerateElementError,
+    FormIdentityError,
+    IrrationalRatioError,
+    NotAntiHermitianError,
+)
+from spindles.linalg import (
+    CLOSED_FORMS,
+    RationalAngle,
+    _exp_structured_many,
+    ensure_square,
+    exp_generic,
+    exp_structured,
+    is_anti_hermitian,
+    rationalize,
+    resolve_eps,
+)
+from spindles.spaces import FAMILY_TAGS, SpaceFamily, build_space, canonical_element, sweep_families
+from spindles.spindle import (
+    BUCKET_TOL,
+    MAX_RATIO_DENOMINATOR,
+    AdSpectrum,
+    ad_spectrum,
+    method_exact,
+    method_numeric,
+    normalize_canonical,
+    slice_dimension,
+    spindle_number,
+)
+from test_basis_free import tangency_probes
+from test_golden import LARGE_FAMILIES
+from test_spectrum import CAP6, k_element, small_family
+
+EPS = 1e-9
+
+
+def oracle_profile(spec, lam, tol):
+    """The slice profile as spindle_number built it point by point."""
+    return tuple(
+        (RationalAngle(k, 12), slice_dimension(spec, RationalAngle(k, 12), tol))
+        for k in range(12 * lam + 1)
+    )
+
+
+def dxd_normalize_canonical(space, xi, eps=None):
+    """normalize_canonical on the d x d route (ad_spectrum)."""
+    m = ensure_square(xi)
+    spec = ad_spectrum(space, m, eps)
+    positives = spec.positive_frequencies
+    if not positives:
+        raise DegenerateElementError(
+            "ad(xi) has no nonzero frequency; no canonical normalization exists"
+        )
+    base = positives[0]
+    try:
+        ratios = [rationalize(nu / base, MAX_RATIO_DENOMINATOR, BUCKET_TOL) for nu in positives]
+    except Exception as exc:
+        raise IrrationalRatioError(
+            f"frequency ratios of {positives} are not rational within {BUCKET_TOL}"
+        ) from exc
+    common = math.lcm(*(r.denominator for r in ratios))
+    numerators = [int(r * common) for r in ratios]
+    g = math.gcd(*numerators)
+    targets = [v // g for v in numerators]
+    c = targets[0] / base
+    for nu, target in zip(positives, targets):
+        if abs(c * nu - target) > BUCKET_TOL:
+            raise IrrationalRatioError(
+                f"frequencies {positives} admit no common integer rescaling "
+                f"(residual at target {target})"
+            )
+    if c == 1.0:
+        return m
+    return c * m
+
+
+def _phase_entry(theta):
+    return complex(theta.cos(), theta.sin())
+
+
+def oracle_exp_structured(xi, t, form, eps=None):
+    """exp_structured as it was: the form check and rationalization per angle."""
+    m = ensure_square(xi)
+    tol = resolve_eps(eps)
+    n = m.shape[0]
+    eye = np.eye(n)
+
+    if form == "diagonal-phase":
+        off = m - np.diag(np.diagonal(m))
+        if float(np.max(np.abs(off))) > tol:
+            raise FormIdentityError("diagonal-phase form needs a diagonal matrix")
+        d = np.diagonal(m)
+        if float(np.max(np.abs(d.real))) > tol:
+            raise FormIdentityError("diagonal-phase form needs purely imaginary diagonal")
+        phases = [rationalize(v) for v in d.imag]
+        entries = [_phase_entry(t * f) for f in phases]
+        return np.diag(np.asarray(entries, dtype=complex))
+
+    if form == "half-angle":
+        if float(np.max(np.abs(m @ m + eye / 4))) > tol:
+            raise FormIdentityError("half-angle form needs xi^2 = -I/4")
+        h = t * Fraction(1, 2)
+        return h.cos() * eye + (2.0 * h.sin()) * m
+
+    if form == "rotation-block":
+        m2 = m @ m
+        if float(np.max(np.abs(m2 @ m + m))) > tol:
+            raise FormIdentityError("rotation-block form needs xi^3 = -xi")
+        return eye + t.sin() * m + (1.0 - t.cos()) * m2
+
+    raise FormIdentityError(f"unknown closed form {form!r}; expected one of {CLOSED_FORMS}")
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """(name, shape) of every np.linalg.eigh/eigvalsh call, as the spindles
+    modules see them."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestOneEigendecomposition:
+    @pytest.mark.parametrize(
+        "family",
+        [small_family(tag) for tag in FAMILY_TAGS] + [SpaceFamily.make("AI", 100, 100)],
+        ids=str,
+    )
+    def test_spindle_number_diagonalizes_xi_once(self, eigen_calls, family):
+        space = build_space(family)
+        n = space.ambient_dim
+        report = spindle_number(space)
+        assert eigen_calls == [("eigh", (n, n))]
+        assert report.method_exact == report.method_numeric
+        eigen_calls.clear()
+        method_exact(family)
+        assert eigen_calls == []
+
+    @pytest.mark.parametrize("tag", sorted(FAMILY_TAGS))
+    def test_refuses_tangent_non_anti_hermitian(self, tag):
+        # Off g by half the tangency bound along a Hermitian direction: the
+        # tangency test passes, the anti-Hermitian test at eps does not.
+        space = build_space(small_family(tag))
+        xi = tangency_probes(space)["off g x0.5"]
+        assert space.contains_tangent(xi, EPS)
+        assert not is_anti_hermitian(xi, EPS)
+        with pytest.raises(NotAntiHermitianError, match="^spindle_number requires"):
+            spindle_number(space, xi, EPS)
+
+    def test_method_numeric_refuses_non_anti_hermitian(self):
+        # eigh reads one triangle only: unchecked, the scan answered 3 for
+        # the first matrix and 1 for the Hermitian second one.
+        space = build_space(SpaceFamily.make("AI", 1, 2))
+        skewed = canonical_element(space.family).copy()
+        skewed[0, 1] = 0.3
+        for xi in (skewed, np.diag([1.0, 2.0, 3.0]).astype(complex)):
+            with pytest.raises(NotAntiHermitianError, match="^method_numeric requires"):
+                method_numeric(space, xi)
+            with pytest.raises(NotAntiHermitianError, match="^exp_generic requires"):
+                exp_generic(xi)
+
+
+class TestProfileOracle:
+    @pytest.mark.parametrize(
+        "family",
+        list(sweep_families(8)) + [SpaceFamily.make(*p) for p in LARGE_FAMILIES],
+        ids=str,
+    )
+    def test_matches_per_point_profile(self, family):
+        report = spindle_number(build_space(family), eps=EPS)
+        spec = AdSpectrum(report.frequencies, report.mult_k, report.mult_p)
+        want = oracle_profile(spec, report.lambda_, EPS)
+        assert report.slice_profile == want
+        assert all(type(dim) is int for _, dim in report.slice_profile)
+
+
+class TestNormalizeRootRoute:
+    @pytest.mark.parametrize("name", CAP6)
+    def test_matches_dxd_route(self, catalog6, name):
+        _, space, _ = catalog6[name]
+        xi = canonical_element(space.family)
+        k = exp_generic(k_element(space, np.random.default_rng(3)))
+        moved = k @ xi @ k.conj().T
+        elements = {f"x{scale}": scale * xi for scale in (2.0, 3.0, 0.5, 0.125, 7.0)}
+        elements["K-conjugate"] = moved
+        elements["K-conjugate x3"] = 3.0 * moved
+        for label, x in elements.items():
+            got = normalize_canonical(space, x, EPS)
+            want = dxd_normalize_canonical(space, x, EPS)
+            assert float(np.max(np.abs(got - want))) <= 1e-12, label
+
+    def test_refusals_match_dxd_route(self):
+        space = build_space(SpaceFamily.make("BDI_split", 2))
+        a, c = (math.sqrt(2) + 1) / 2, (math.sqrt(2) - 1) / 2
+        b = np.diag([a, c])
+        flat = np.block([[np.zeros((2, 2)), b], [-b.T, np.zeros((2, 2))]]).astype(complex)
+        zero = np.zeros((4, 4), dtype=complex)
+        for x, error in ((flat, IrrationalRatioError), (zero, DegenerateElementError)):
+            for route in (normalize_canonical, dxd_normalize_canonical):
+                with pytest.raises(error):
+                    route(space, x, EPS)
+
+
+ANGLES = [RationalAngle(k, 6) for k in range(49)]
+
+FORM_FAILURES = {
+    "diagonal-phase off-diagonal": (np.array([[0.5j, 0.1], [-0.1, -0.5j]]), "diagonal-phase"),
+    "diagonal-phase real part": (np.diag([0.5 + 0.1j, -0.5j]), "diagonal-phase"),
+    "half-angle": (1j * np.diag([0.5, -0.25]), "half-angle"),
+    "rotation-block": (1j * np.diag([0.5, -0.5]), "rotation-block"),
+    "unknown form": (1j * np.diag([0.5, -0.5]), "no-such-form"),
+}
+
+
+class TestStructuredMany:
+    @pytest.mark.parametrize("family", list(sweep_families(6)), ids=str)
+    def test_byte_equal_to_single_angle(self, family):
+        xi = canonical_element(family)
+        form = family.closed_form
+        many = _exp_structured_many(xi, ANGLES, form, EPS)
+        assert len(many) == len(ANGLES)
+        for t, got in zip(ANGLES, many):
+            want = oracle_exp_structured(xi, t, form, EPS)
+            assert got.tobytes() == want.tobytes(), str(t)
+            assert exp_structured(xi, t, form, EPS).tobytes() == want.tobytes(), str(t)
+
+    @pytest.mark.parametrize("case", sorted(FORM_FAILURES))
+    def test_form_identity_failures_raise(self, case):
+        xi, form = FORM_FAILURES[case]
+        for call in (
+            lambda: oracle_exp_structured(xi, RationalAngle(1), form),
+            lambda: exp_structured(xi, RationalAngle(1), form),
+            lambda: _exp_structured_many(xi, ANGLES, form),
+        ):
+            with pytest.raises(FormIdentityError):
+                call()
+
+    def test_one_rationalization_per_space(self, monkeypatch):
+        from spindles import verification
+
+        calls = []
+        real = linalg.rationalize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rationalize", counted)
+        space = build_space(SpaceFamily.make("AI", 2, 3))
+        assert verification.exp_agreement_check(space, EPS).ok
+        assert verification.isotropy_scan_check(space, EPS).ok
+        # One rationalization of each of the 5 diagonal entries per check.
+        assert len(calls) == 2 * space.ambient_dim

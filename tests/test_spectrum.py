@@ -26,6 +26,7 @@ from spindles.spaces import (
 from spindles.spindle import (
     AdSpectrum,
     _is_ext_sym,
+    _require_tangent,
     _root_spectrum,
     ad_matrix,
     ad_spectrum,
@@ -260,11 +261,18 @@ def probe_elements(space) -> dict:
     }
 
 
+def root_w(space, xi) -> np.ndarray:
+    """The eigenvalues w of -i*xi that _root_spectrum reads, after the
+    tangency test its callers make first."""
+    _require_tangent(space, xi, EPS)
+    return np.linalg.eigvalsh(-1j * xi)
+
+
 def both_routes(space, xi) -> tuple:
     """(root route, d x d route), each (spectrum, ext-sym) or the type of
     the SpindleError it raised."""
     try:
-        root = _root_spectrum(space, xi, EPS)
+        root = _root_spectrum(space, root_w(space, xi), EPS)
     except SpindleError as exc:
         root = type(exc)
     try:
@@ -322,7 +330,7 @@ class TestRootRoute:
     def test_multi_frequency_ai12(self):
         space = build_space(SpaceFamily.make("AI", 1, 2))
         xi = 1j * np.diag([-1.0, 0.0, 1.0])
-        spec, ext_sym = _root_spectrum(space, xi, EPS)
+        spec, ext_sym = _root_spectrum(space, root_w(space, xi), EPS)
         assert spec.positive_frequencies == (1.0, 2.0)
         assert spec == ad_spectrum(space, xi)
         assert not ext_sym
@@ -333,13 +341,13 @@ class TestRootRoute:
         xi = canonical_element(space.family)
         # Frequency 1 takes 2 dimensions of k; a k of dimension 1 cannot hold them.
         with pytest.raises(SpectrumBucketingError):
-            _root_spectrum(replace(space, k_dim=1, p_dim=7), xi, EPS)
+            _root_spectrum(replace(space, k_dim=1, p_dim=7), root_w(space, xi), EPS)
         # Three values at frequency 1 cannot split evenly between k and p.
         spec = spaces._FAMILIES["AI"]
         dropped = replace(spec, roots=lambda w: np.sort(spec.roots(w))[:-1])
         monkeypatch.setitem(spaces._FAMILIES, "AI", dropped)
         with pytest.raises(SpectrumBucketingError):
-            _root_spectrum(space, xi, EPS)
+            _root_spectrum(space, root_w(space, xi), EPS)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(FAMILY_TAGS)), st.integers(0, 2**32 - 1))
@@ -348,8 +356,8 @@ class TestRootRoute:
         rng = np.random.default_rng(seed)
         xi = p_element(space, rng)
         k = exp_generic(k_element(space, rng))
-        spec, ext_sym = _root_spectrum(space, xi, EPS)
-        moved, moved_ext = _root_spectrum(space, k @ xi @ k.conj().T, EPS)
+        spec, ext_sym = _root_spectrum(space, root_w(space, xi), EPS)
+        moved, moved_ext = _root_spectrum(space, root_w(space, k @ xi @ k.conj().T), EPS)
         assert len(moved.frequencies) == len(spec.frequencies)
         assert np.max(np.abs(np.subtract(moved.frequencies, spec.frequencies))) <= 1e-9
         assert (moved.mult_k, moved.mult_p, moved_ext) == (spec.mult_k, spec.mult_p, ext_sym)

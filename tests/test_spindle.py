@@ -305,8 +305,8 @@ class TestReportChecksOracle:
             spec = AdSpectrum(report.frequencies, report.mult_k, report.mult_p)
             ext_sym = report.extrinsically_symmetric
             lam = report.lambda_
-            xi = canonical_element(space.family)
-            checks = _report_checks(space, xi, spec, lam, ext_sym, lam, lam, tol)
+            g = exp_generic(canonical_element(space.family), math.pi)
+            checks = _report_checks(space, g, spec, lam, ext_sym, lam, lam, tol)
             assert list(checks) == REPORT_CHECK_KEYS, name
             if tol == 1e-9:
                 assert list(checks.items()) == list(report.checks.items()), name
@@ -318,12 +318,12 @@ class TestReportChecksOracle:
 
     def test_synthetic_spectra(self):
         space = build_space(SpaceFamily.make("AI", 1, 2))
-        xi = canonical_element(space.family)
+        g = exp_generic(canonical_element(space.family), math.pi)
         seen = {key: set() for key in REPORT_CHECK_KEYS[6:]}
         for freqs, mult_p, ext_sym in SYNTHETIC_SPECTRA:
             spec = AdSpectrum((0.0, *freqs), (1, *mult_p), (1, *mult_p))
             for tol in (1e-9, 0.05, 0.06):
-                checks = _report_checks(space, xi, spec, 1, ext_sym, 1, 1, tol)
+                checks = _report_checks(space, g, spec, 1, ext_sym, 1, 1, tol)
                 assert list(checks) == REPORT_CHECK_KEYS
                 grid = {key: checks[key] for key in REPORT_CHECK_KEYS[6:]}
                 assert grid == scalar_grid_checks(spec, ext_sym, tol), (freqs, mult_p, tol)
