@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     ParameterError,
     SpindleError,
 )
-from .linalg import RationalAngle, default_eps
+from .linalg import RationalAngle, check_eps, default_eps
 from .spaces import (
     FAMILY_TAGS,
     PQ_FAMILIES,
@@ -197,7 +196,7 @@ def cmd_profile(args) -> int:
         t = step * k
         rows.append(
             (
-                str(t.fraction),
+                t.over_pi_text,
                 _fmt(jacobi_norm_sq(spec, comps, t)),
                 str(slice_dimension(spec, t, args.eps)),
                 classify_time(t),
@@ -316,18 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_eps(flag: float | None) -> float:
     """The one eps of a run: --eps if given, else SPINDLE_EPS, else the
-    default; it must be finite and > 0."""
-    if flag is not None:
-        source, given, eps = "--eps", flag, flag
-    else:
-        source, given = "SPINDLE_EPS", os.environ.get("SPINDLE_EPS")
-        try:
-            eps = default_eps()
-        except ValueError:
-            eps = math.nan
-    if not (math.isfinite(eps) and eps > 0):
-        raise ParameterError(f"{source} must be a finite number > 0, got {given!r}")
-    return eps
+    default; check_eps's rule, naming the source that broke it."""
+    return default_eps() if flag is None else check_eps(flag, "--eps")
 
 
 def main(argv=None) -> int:

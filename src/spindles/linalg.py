@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     FormIdentityError,
     NotAntiHermitianError,
+    ParameterError,
     RationalizationError,
 )
 
@@ -38,13 +39,27 @@ MAX_PHASE_DENOMINATOR = 4096
 CLOSED_FORMS = ("diagonal-phase", "half-angle", "rotation-block")
 
 
+def check_eps(value, name: str = "eps") -> float:
+    """value as a float if it is a finite number > 0, else ParameterError
+    naming it. A tolerance of 0, below 0, inf or nan would make the checks
+    refuse or accept everything and blame the element tested."""
+    try:
+        eps = float(value)
+    except (TypeError, ValueError):
+        eps = math.nan
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError(f"{name} must be a finite number > 0, got {value!r}")
+    return eps
+
+
 def default_eps() -> float:
     """Global absolute tolerance; SPINDLE_EPS overrides the 1e-9 default."""
-    return float(os.environ.get("SPINDLE_EPS", DEFAULT_EPS))
+    return check_eps(os.environ.get("SPINDLE_EPS", DEFAULT_EPS), "SPINDLE_EPS")
 
 
 def resolve_eps(eps: float | None) -> float:
-    return default_eps() if eps is None else float(eps)
+    """eps, or default_eps() when None; checked by check_eps."""
+    return default_eps() if eps is None else check_eps(eps)
 
 
 def ensure_square(a) -> np.ndarray:
@@ -170,6 +185,12 @@ class RationalAngle:
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
+
+    @property
+    def over_pi_text(self) -> str:
+        """The angle over pi as str(Fraction) writes it: 'num/den', or 'num'
+        when den is 1."""
+        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
     @property
     def radians(self) -> float:

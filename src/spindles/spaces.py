@@ -24,9 +24,9 @@ table, in catalog order: parameter shape and lower bound, ambient size,
 the algebra (basis, dimension, root rule, projector), involution and the
 dimension of its fixed subalgebra k, names, closed-form tag, canonical
 element, isotropy predicate, stated membership rule, table lambda, center
-and cover multiplier. FAMILY_TAGS, PQ_FAMILIES and GROUP_FAMILIES are read
-off the table, and the public functions below look a family up there;
-adding a family is one new record.
+and cover multiplier. FAMILY_TAGS and PQ_FAMILIES are read off the
+table, and the public functions below look a family up there; adding a
+family is one new record.
 
 build_space does O(N^2) work and builds no basis: dim g and dim k come
 from the formulas, and tangency is tested with the algebra's closed-form
@@ -35,6 +35,9 @@ in its coordinates) is built on first use and kept on the SpaceInstance.
 Its readers are to_coords/from_coords, the d x d route of the spindle
 module (ad_matrix and its callers) and verify's structural checks;
 spindle_number, and so `table`, `analyze` and `profile`, read none of it.
+Each algebra describes its basis as index tables, groups of (element, row,
+col, value) arrays built from np.triu_indices, and one scatter fills the
+(dim g, N, N) tensor; no Python code runs per basis element.
 `table --cap 30` (2,095 spaces, N up to 120) takes about 10 s and 40 MB
 on a 2-vCPU host with one BLAS thread.
 
@@ -110,7 +113,6 @@ class FamilySpec:
     table_lambda: Callable[..., int]
     center: Callable[..., tuple] = _no_center  # (order or None, provenance note)
     cover: int = 1
-    group: bool = False
 
 
 def _eye(n: int) -> np.ndarray:
@@ -144,19 +146,6 @@ def _double_signature(n: int) -> np.ndarray:
     return _block_diag(_signature(n, n), _signature(n, n))
 
 
-def _stacked(dim: Callable[[int], int]):
-    """Decorator: a basis generator's m x m matrices fill one (dim(m), m, m) array.
-    A list of them churns the C heap, and peak memory then varies 20-40 MB by run."""
-
-    def decorate(elements):
-        def build(m: int) -> np.ndarray:
-            return np.fromiter(elements(m), dtype=np.dtype((complex, (m, m))), count=dim(m))
-
-        return build
-
-    return decorate
-
-
 def _su_dim(m: int) -> int:
     return m * m - 1
 
@@ -170,89 +159,66 @@ def _sp_dim(big: int) -> int:
     return big * (big + 1) // 2
 
 
-@_stacked(_su_dim)
-def _su_basis(m: int) -> Iterator[np.ndarray]:
-    """Orthonormal basis of su(m) under <X,Y> = -Re tr(XY)."""
-    rt2 = math.sqrt(2.0)
-    for j in range(m):
-        for k in range(j + 1, m):
-            a = np.zeros((m, m), dtype=complex)
-            a[j, k] = 1.0
-            a[k, j] = -1.0
-            yield a / rt2
-            s = np.zeros((m, m), dtype=complex)
-            s[j, k] = 1j
-            s[k, j] = 1j
-            yield s / rt2
-    for l in range(1, m):
-        # diagonal direction (1, ..., 1, -l, 0, ..., 0) * i, norm sqrt(l + l^2)
-        v = np.zeros(m)
-        v[:l] = 1.0
-        v[l] = -l
-        yield 1j * np.diag(v).astype(complex) / math.sqrt(l + l * l)
+# Basis tensors from index tables: each algebra lists its nonzero entries as
+# groups of (element, row, col, value) arrays, and one scatter fills the
+# (dim g, N, N) tensor. Values at (j, k) and (k, j) of a pair element, one
+# row per element: the real and the imaginary anti-Hermitian pair, and the
+# real and the imaginary symmetric pair.
+_ANTI_HERMITIAN = np.array([[1, -1], [1j, 1j]])
+_SYMMETRIC = np.array([[1, 1], [1j, 1j]])
+_RT2 = math.sqrt(2.0)
 
 
-@_stacked(_so_dim)
-def _so_basis(m: int) -> Iterator[np.ndarray]:
-    rt2 = math.sqrt(2.0)
-    for j in range(m):
-        for k in range(j + 1, m):
-            a = np.zeros((m, m), dtype=complex)
-            a[j, k] = 1.0
-            a[k, j] = -1.0
-            yield a / rt2
+def _scatter(m: int, dim: int, groups) -> np.ndarray:
+    """The (dim, m, m) tensor with the entries of the index groups, else 0."""
+    e, r, c, v = (np.concatenate(parts) for parts in zip(*groups))
+    out = np.zeros((dim, m, m), dtype=complex)
+    out[e, r, c] = v
+    return out
 
 
-@_stacked(_sp_dim)
-def _sp_basis(big: int) -> Iterator[np.ndarray]:
+def _pairs(n: int, start: int, values: np.ndarray, shift: int = 0) -> tuple:
+    """The index group of one element per row (w, w') of values and pair
+    j < k of range(n), numbered pair by pair from start: w at (j, k + shift)
+    and w' at (k, j + shift)."""
+    j, k = (np.repeat(ix, len(values)) for ix in np.triu_indices(n, 1))
+    e = start + np.arange(len(j))
+    w, w2 = np.resize(values, (len(j), 2)).T
+    return np.r_[e, e], np.r_[j, k], np.r_[k, j] + shift, np.r_[w, w2]
+
+
+def _su_basis(m: int) -> np.ndarray:
+    """Orthonormal basis of su(m) under <X,Y> = -Re tr(XY): the two
+    anti-Hermitian pairs of each j < k over sqrt(2), then for l = 1..m-1 the
+    diagonal direction i(1, ..., 1, -l, 0, ..., 0) over its norm sqrt(l + l^2)."""
+    l, i = (ix[1:] for ix in np.tril_indices(m))
+    diagonal = (m * (m - 1) + l - 1, i, i, 1j * np.where(i < l, 1.0, -l) / np.sqrt(l + l * l))
+    return _scatter(m, _su_dim(m), [_pairs(m, 0, _ANTI_HERMITIAN / _RT2), diagonal])
+
+
+def _so_basis(m: int) -> np.ndarray:
+    """Orthonormal basis of so(m): the real anti-Hermitian pair of each j < k over sqrt(2)."""
+    return _scatter(m, _so_dim(m), [_pairs(m, 0, _ANTI_HERMITIAN[:1] / _RT2)])
+
+
+def _sp_basis(big: int) -> np.ndarray:
     """Orthonormal basis of sp(n) inside u(2n), big = 2n:
-    X = [[P, Q], [-Q*, -P^T]] with P anti-Hermitian and Q complex symmetric."""
+    X = [[P, Q], [-Q*, -P^T]] with P anti-Hermitian and Q complex symmetric.
+    The tables give the top n rows, P = i E_jj / sqrt(2), the anti-Hermitian
+    pairs of P over 2, Q = E_jj and i E_jj over sqrt(2), the symmetric pairs
+    of Q over 2; each entry is mirrored into -P^T or -Q* below."""
     n = big // 2
-    rt2 = math.sqrt(2.0)
-
-    def embed_p(pmat):
-        x = np.zeros((big, big), dtype=complex)
-        x[:n, :n] = pmat
-        x[n:, n:] = -pmat.T
-        return x
-
-    def embed_q(qmat):
-        x = np.zeros((big, big), dtype=complex)
-        x[:n, n:] = qmat
-        x[n:, :n] = -qmat.conj().T
-        return x
-
-    for j in range(n):
-        p = np.zeros((n, n), dtype=complex)
-        p[j, j] = 1j
-        yield embed_p(p) / rt2
-    for j in range(n):
-        for k in range(j + 1, n):
-            p = np.zeros((n, n), dtype=complex)
-            p[j, k] = 1.0
-            p[k, j] = -1.0
-            yield embed_p(p) / 2.0
-            p = np.zeros((n, n), dtype=complex)
-            p[j, k] = 1j
-            p[k, j] = 1j
-            yield embed_p(p) / 2.0
-    for j in range(n):
-        q = np.zeros((n, n), dtype=complex)
-        q[j, j] = 1.0
-        yield embed_q(q) / rt2
-        q = np.zeros((n, n), dtype=complex)
-        q[j, j] = 1j
-        yield embed_q(q) / rt2
-    for j in range(n):
-        for k in range(j + 1, n):
-            q = np.zeros((n, n), dtype=complex)
-            q[j, k] = 1.0
-            q[k, j] = 1.0
-            yield embed_q(q) / 2.0
-            q = np.zeros((n, n), dtype=complex)
-            q[j, k] = 1j
-            q[k, j] = 1j
-            yield embed_q(q) / 2.0
+    d, dd = np.arange(n), np.repeat(np.arange(n), 2)
+    top = [
+        (d, d, d, np.full(n, 1j) / _RT2),
+        _pairs(n, n, _ANTI_HERMITIAN / 2.0),
+        (n * n + np.arange(2 * n), dd, dd + n, np.tile([1, 1j], n) / _RT2),
+        _pairs(n, n * n + 2 * n, _SYMMETRIC / 2.0, shift=n),
+    ]
+    e, r, c, v = (np.concatenate(parts) for parts in zip(*top))
+    inner = c < n  # an entry of P, else of Q
+    below = (e, c + n * inner, r + n * inner, np.where(inner, -v, -v.conj()))
+    return _scatter(big, _sp_dim(big), [(e, r, c, v), below])
 
 
 # Root rules (Fulton-Harris): the frequencies of ad(xi) on g from the
@@ -513,7 +479,6 @@ _FAMILIES = {
         closed_form="diagonal-phase", canonical=_phase_element,
         isotropy=_squares_to_one, membership=_phase_rule, table_lambda=_phase_lambda,
         center=lambda p, q: (p + q, f"center of the simply connected SU({p + q}) is Z_{p + q}"),
-        group=True,
     ),
     "GRP_bd": FamilySpec(
         # n <= 2 would give the abelian SO(2) or less.
@@ -525,7 +490,7 @@ _FAMILIES = {
         orbit_name=lambda n: f"SO({n})/(SO(2)xSO({n - 2}))",
         closed_form="rotation-block", canonical=lambda n: _rotation(1, n),
         isotropy=_squares_to_one, membership=lambda f, n: f % 1 == 0,
-        table_lambda=lambda n: 2, center=_spin_center, cover=2, group=True,
+        table_lambda=lambda n: 2, center=_spin_center, cover=2,
     ),
     "GRP_c": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
@@ -536,7 +501,7 @@ _FAMILIES = {
         orbit_name=lambda n: f"Sp({n})/U({n})",
         closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
         isotropy=_squares_to_one, membership=_even_rule, table_lambda=lambda n: 2,
-        center=lambda n: (2, f"center of Sp({n}) is Z_2"), group=True,
+        center=lambda n: (2, f"center of Sp({n}) is Z_2"),
     ),
     "GRP_d": FamilySpec(
         # n = 1 would give the abelian SO(2).
@@ -548,7 +513,7 @@ _FAMILIES = {
         orbit_name=lambda n: f"SO({2 * n})/U({n})",
         closed_form="half-angle", canonical=lambda n: 0.5 * _j_matrix(n),
         isotropy=_squares_to_one, membership=_even_rule, table_lambda=lambda n: 4,
-        center=lambda n: _spin_center(2 * n), cover=2, group=True,
+        center=lambda n: _spin_center(2 * n), cover=2,
     ),
 }
 
@@ -556,7 +521,6 @@ FAMILY_TAGS = tuple(_FAMILIES)
 
 # Families parametrized by a pair 1 <= p <= q; the rest take a single n.
 PQ_FAMILIES = frozenset(tag for tag, spec in _FAMILIES.items() if spec.pq)
-GROUP_FAMILIES = frozenset(tag for tag, spec in _FAMILIES.items() if spec.group)
 
 
 @dataclass(frozen=True)
@@ -631,10 +595,6 @@ class SpaceFamily:
         return self.params[0]
 
     @property
-    def is_group_type(self) -> bool:
-        return self._spec.group
-
-    @property
     def closed_form(self) -> str:
         return self._spec.closed_form
 
@@ -665,13 +625,14 @@ class SpaceInstance:
     split, and group-theoretic side data.
 
     The basis data is built on first use, at most once per instance:
-    basis_tensor stacks the orthonormal basis of g as a
-    (dim_g, N, N) array; basis_vecs holds the matching real flattenings, so
-    coordinates of X in the basis are basis_vecs @ mat_to_vec(X); and
-    sigma_coords is the involution in those coordinates. Their readers are
-    to_coords, from_coords, the d x d route of the spindle module (ad_matrix
-    and its callers) and verify's structural checks. dim_g, k_dim, p_dim and
-    the tangency test need none of it."""
+    basis_tensor is the orthonormal basis of g as a (dim_g, N, N) array,
+    filled by one scatter from the algebra's index tables; basis_vecs holds
+    the matching real flattenings, so coordinates of X in the basis are
+    basis_vecs @ mat_to_vec(X); and sigma_coords is the involution in those
+    coordinates. Their readers are to_coords, from_coords, the d x d route
+    of the spindle module (ad_matrix and its callers) and verify's
+    structural checks. dim_g, k_dim, p_dim and the tangency test need none
+    of it."""
 
     family: SpaceFamily
     ambient_dim: int

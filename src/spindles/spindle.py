@@ -44,6 +44,7 @@ from .errors import (
     NotCanonicalError,
     NotInTangentSpaceError,
     ParameterError,
+    RationalizationError,
     SpectrumBucketingError,
 )
 from .linalg import (
@@ -99,10 +100,6 @@ class AdSpectrum:
         return tuple(m for nu, m in zip(self.frequencies, self.mult_p) if nu > 0)
 
     @property
-    def positive_mult_k(self) -> tuple:
-        return tuple(m for nu, m in zip(self.frequencies, self.mult_k) if nu > 0)
-
-    @property
     def dim_k(self) -> int:
         return int(sum(self.mult_k))
 
@@ -134,18 +131,6 @@ class CartanSplit:
     @property
     def positive_mult_p(self) -> tuple:
         return tuple(b.shape[0] for b in self.p_nu)
-
-    @property
-    def k_minus(self) -> np.ndarray:
-        if not self.k_nu:
-            return np.zeros((0,) + self.k_plus.shape[1:], dtype=complex)
-        return np.concatenate(self.k_nu, axis=0)
-
-    @property
-    def p_minus(self) -> np.ndarray:
-        if not self.p_nu:
-            return np.zeros((0,) + self.p_plus.shape[1:], dtype=complex)
-        return np.concatenate(self.p_nu, axis=0)
 
 
 def _require_tangent(space: SpaceInstance, m: np.ndarray, eps: float | None) -> None:
@@ -328,7 +313,7 @@ def normalize_canonical(space: SpaceInstance, xi, eps: float | None = None) -> n
     base = positives[0]
     try:
         ratios = [rationalize(nu / base, MAX_RATIO_DENOMINATOR, BUCKET_TOL) for nu in positives]
-    except Exception as exc:
+    except RationalizationError as exc:
         raise IrrationalRatioError(
             f"frequency ratios of {positives} are not rational within {BUCKET_TOL}"
         ) from exc
@@ -636,7 +621,7 @@ class SpindleReport:
             "knot_times": [str(t) for t in self.knot_times],
             "centriole_times": [str(t) for t in self.centriole_times],
             "slice_profile": [
-                {"t_over_pi": str(t.fraction), "dim": dim} for t, dim in self.slice_profile
+                {"t_over_pi": t.over_pi_text, "dim": dim} for t, dim in self.slice_profile
             ],
             "geodesic_length_over_norm": str(self.geodesic_length_over_norm),
             "checks": dict(self.checks),

@@ -7,7 +7,9 @@ canonical element, of the file written by `table --cap 3 --json`, of
 the stdout of `verify --cap 3 --verbose` at the default eps and at eps 0.1
 (where every slice_zero_iff_knot check fails, since sin(pi/60) < 0.1),
 and of the stdout of the whole cap-6 battery, `verify --cap 6 --verbose`
-(2,752 checks, every printed residual included, run with one BLAS thread).
+(2,752 checks, every printed residual included, run with one BLAS thread),
+and of the basis tensor of su(m) and so(m) for m <= 12 and of sp(n) for
+2n <= 12, as (tensor + 0.0).tobytes(), so that -0.0 and 0.0 agree.
 Any change to a key, a value or a float's last digit shows up here.
 """
 
@@ -21,7 +23,7 @@ import pytest
 from pathlib import Path
 
 import spindles
-from spindles import SpaceFamily, build_space, catalog_entry, spindle_number
+from spindles import SpaceFamily, build_space, catalog_entry, spaces, spindle_number
 from spindles.cli import main
 
 # Eight N=40 spaces, dim g from 780 to 1599.
@@ -104,3 +106,10 @@ def test_verify_cap6_stdout():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert digest(proc.stdout) == GOLDEN["verify_cap6_verbose"]
+
+
+@pytest.mark.parametrize("name", GOLDEN["basis_tensor"])
+def test_basis_tensor(name):
+    algebra, size = name[:2], int(name[3:-1])
+    tensor = getattr(spaces, f"_{algebra}_basis")(size)
+    assert digest((tensor + 0.0).tobytes()) == GOLDEN["basis_tensor"][name]

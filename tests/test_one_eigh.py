@@ -225,6 +225,17 @@ class TestNormalizeRootRoute:
                 with pytest.raises(error):
                     route(space, x, EPS)
 
+    def test_only_rationalization_failures_become_irrational(self, monkeypatch):
+        from spindles import spindle
+
+        def broken(*args):
+            raise TypeError("a programming error")
+
+        monkeypatch.setattr(spindle, "rationalize", broken)
+        space = build_space(SpaceFamily.make("AI", 1, 2))
+        with pytest.raises(TypeError, match="a programming error"):
+            normalize_canonical(space, 3.0 * canonical_element(space.family), EPS)
+
 
 ANGLES = [RationalAngle(k, 6) for k in range(49)]
 

@@ -223,6 +223,28 @@ class TestVerificationEpsResolvedOnce:
         assert calls == []
 
 
+class TestBadEps:
+    """A tolerance that is not a finite number > 0 is refused by name, not
+    blamed on the element."""
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_spindle_number(self, eps):
+        space = build_space(SpaceFamily.make("AI", 1, 2))
+        with pytest.raises(ParameterError, match=f"^eps must be a finite number > 0, got {eps!r}$"):
+            spindle_number(space, eps=eps)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0, -1])
+    def test_run_verification(self, eps):
+        with pytest.raises(ParameterError, match=f"^eps must be a finite number > 0, got {eps!r}$"):
+            run_verification(cap=1, eps=eps)
+
+    def test_environment(self, monkeypatch):
+        monkeypatch.setenv("SPINDLE_EPS", "0")
+        space = build_space(SpaceFamily.make("AI", 1, 2))
+        with pytest.raises(ParameterError, match="^SPINDLE_EPS must be a finite number > 0, got '0'$"):
+            spindle_number(space)
+
+
 def scalar_grid_checks(spec, ext_sym, tol):
     """The grid checks of a report, one scalar helper call per grid point
     (the reference _report_checks must agree with)."""
