@@ -35,6 +35,8 @@ DEFAULT_EPS = 1e-9
 # are at most p+q <= a few dozen; anything near this cap is rejected as
 # unidentified rather than trusted.
 MAX_PHASE_DENOMINATOR = 4096
+# How far a float may lie from the rational that rationalize returns.
+PHASE_TOL = 1e-6
 
 CLOSED_FORMS = ("diagonal-phase", "half-angle", "rotation-block")
 
@@ -131,7 +133,7 @@ def subspace_rank(mats: Iterable, eps: float | None = None) -> int:
     return int(np.sum(svals > resolve_eps(eps)))
 
 
-def rationalize(x: float, max_den: int = MAX_PHASE_DENOMINATOR, tol: float = 1e-6) -> Fraction:
+def rationalize(x: float, max_den: int = MAX_PHASE_DENOMINATOR, tol: float = PHASE_TOL) -> Fraction:
     """Identify a float with a small-denominator rational, or raise."""
     f = Fraction(float(x)).limit_denominator(max_den)
     if abs(float(f) - float(x)) > tol:

@@ -10,8 +10,8 @@ number by two independent methods that are asserted to agree:
   * exact: the published membership condition at t = n*pi, evaluated in
     integer arithmetic and searched for the least n;
   * numeric: eigendecompose xi, scan g = exp(n*pi*xi) against the
-    isotropy predicate up to a termination bound derived from the
-    rational eigenphases of xi.
+    isotropy predicate over the divisors of a termination bound derived
+    from the rational eigenphases of xi.
 
 A third pure-arithmetic route (closed_form_lambda) gives the published
 table value directly.
@@ -48,6 +48,7 @@ from .errors import (
     SpectrumBucketingError,
 )
 from .linalg import (
+    PHASE_TOL,
     RationalAngle,
     _eigh_anti_hermitian,
     _exp_eigh,
@@ -76,6 +77,10 @@ ZERO_FREQ_TOL = 1e-5
 # Denominator cap when identifying frequency ratios as rationals. Catalog
 # ratios are tiny; a sqrt(2) ratio must NOT sneak through as 99/70.
 MAX_RATIO_DENOMINATOR = 64
+
+# Eigenphases of xi within PHASE_CLUSTER_TOL of each other share one
+# rational identification.
+PHASE_CLUSTER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,11 @@ def ad_matrix(space: SpaceInstance, xi, eps: float | None = None) -> np.ndarray:
 
 def _bucket(values: np.ndarray, tol: float) -> list:
     """Group ascending values into clusters separated by gaps > tol."""
-    groups = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            groups.append((start, i))
-            start = i
-    return groups
+    if len(values) == 0:
+        return []
+    cuts = (np.flatnonzero(np.diff(values) > tol) + 1).tolist()
+    bounds = [0, *cuts, len(values)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _frequency_clusters(space: SpaceInstance, nu: np.ndarray) -> tuple:
@@ -491,17 +494,56 @@ def method_numeric(space: SpaceInstance, xi, eps: float | None = None) -> int:
     """Least n >= 1 with exp(n*pi*xi) accepted by the isotropy predicate,
     times the covering multiplier.
 
-    The scan terminates: with D the least common denominator of the
-    rational eigenphases of xi, exp(2*D*pi*xi) = I, so n_max = 2*D."""
+    With D the least common denominator of the rational eigenphases of xi,
+    exp(2*D*pi*xi) = I, so n_max = 2*D is a return. g = exp(pi*xi)
+    generates a cyclic group and K is a group, so {n : g^n in K} is a
+    subgroup lambda*Z of Z; it contains n_max, so lambda divides n_max.
+    The same holds for the group families' predicate g^(2n) = I. The scan
+    therefore tests only the divisors of n_max, in ascending order, each
+    by its exponential and the isotropy predicate."""
     return _return_scan(space, *_eigh_anti_hermitian(xi, eps, "method_numeric"), eps)
 
 
+def _divisors(n: int) -> list:
+    """The positive divisors of n >= 1, ascending."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _phase_lcm(w: np.ndarray) -> int:
+    """Least common denominator of the eigenphases w, each identified with
+    a rational by rationalize.
+
+    Values within PHASE_CLUSTER_TOL of a cluster's first value share its
+    fraction, so each cluster is rationalized once; every other member must
+    lie within rationalize's tolerance of that fraction. Two distinct
+    admissible phases are at least 1/(4096*4095) ~ 6e-8 apart, so one
+    cluster never spans two of them. eigh returns w ascending, which keeps
+    the clusters contiguous."""
+    denominators = set()
+    first = None
+    for val in w.tolist():
+        if first is None or abs(val - first) > PHASE_CLUSTER_TOL:
+            first = val
+            frac = rationalize(val)
+            value = float(frac)
+            denominators.add(frac.denominator)
+        elif abs(value - val) > PHASE_TOL:
+            raise RationalizationError(
+                f"{val!r} is not within {PHASE_TOL} of {frac}, the phase of its cluster"
+            )
+    return math.lcm(*denominators)
+
+
 def _return_scan(space: SpaceInstance, w: np.ndarray, v: np.ndarray, eps: float | None) -> int:
-    """method_numeric's scan, from the eigendecomposition xi = i v diag(w) v*."""
-    phases = [rationalize(val) for val in w]
-    d = math.lcm(*(f.denominator for f in phases))
-    n_max = 2 * d
-    for n in range(1, n_max + 1):
+    """method_numeric's scan, from the eigendecomposition xi = i v diag(w) v*.
+
+    {n : exp(n*pi*xi) in K} is a subgroup of Z that contains n_max = 2*D
+    (D the least common denominator of the phases w), so its least
+    positive element divides n_max: only the divisors are exponentiated
+    and tested, in ascending order."""
+    n_max = 2 * _phase_lcm(w)
+    for n in _divisors(n_max):
         if isotropy_contains(space, _exp_eigh(w, v, n * math.pi), eps):
             return n * space.cover_multiplier
     raise MembershipSearchError(

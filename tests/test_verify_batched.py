@@ -25,11 +25,13 @@ from spindles.linalg import (
     mat_to_vec,
     resolve_eps,
 )
+from spindles import verification
 from spindles.verification import (
     EXHAUSTIVE_CLOSURE_DIM,
     RANDOM_CLOSURE_TRIALS,
     CheckResult,
     exp_agreement_check,
+    rational_angle_bulk_check,
     structural_checks,
 )
 
@@ -236,3 +238,23 @@ def test_structural_checks_peak_memory():
         tracemalloc.stop()
     assert all(c.ok for c in checks)
     assert peak <= AII66_PEAK_MIB * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_bulk_check_counts_every_failing_draw(monkeypatch):
+    """Each distinct (num, den) draw is checked once, but a failing pair
+    counts once per draw and the first failing draw is named."""
+    calls = []
+
+    def fails_on_sevenths(num, den):
+        calls.append((num, den))
+        return den != 7
+
+    monkeypatch.setattr(verification, "_rational_angle_exact", fails_on_sevenths)
+    rng = random.Random(20240229)
+    draws = [(rng.randint(-600, 600), rng.randint(1, 48)) for _ in range(5000)]
+    failing = [(num, den) for num, den in draws if den == 7]
+    result = rational_angle_bulk_check(5000)
+    assert not result.ok
+    num, den = failing[0]
+    assert result.detail == f"5000 samples, {len(failing)} bad, first {num}/{den}"
+    assert sorted(calls) == sorted(set(draws))
