@@ -12,12 +12,9 @@ from . import errors
 from .errors import SpindleError
 from .linalg import (
     RationalAngle,
-    commutator,
     default_eps,
     exp_generic,
     exp_structured,
-    subspace_rank,
-    trace_inner,
 )
 from .spaces import (
     FAMILY_TAGS,
@@ -36,7 +33,6 @@ from .spindle import (
     SpindleReport,
     ad_matrix,
     ad_spectrum,
-    adjoint_space_check,
     cartan_split,
     center_divisibility_check,
     classify_time,
@@ -68,7 +64,6 @@ __all__ = [
     "SpindleReport",
     "ad_matrix",
     "ad_spectrum",
-    "adjoint_space_check",
     "build_space",
     "canonical_element",
     "cartan_split",
@@ -76,7 +71,6 @@ __all__ = [
     "center_divisibility_check",
     "classify_time",
     "closed_form_lambda",
-    "commutator",
     "default_eps",
     "errors",
     "exp_generic",
@@ -94,8 +88,6 @@ __all__ = [
     "slice_dimension",
     "spindle_number",
     "stated_membership",
-    "subspace_rank",
     "sweep_families",
-    "trace_inner",
     "__version__",
 ]

@@ -83,35 +83,13 @@ def cmd_table(args) -> int:
         rows.append(_row(space, report))
 
     if args.csv:
-        fields = [
-            "family",
-            "p",
-            "q",
-            "space",
-            "orbit",
-            "lambda",
-            "method_exact",
-            "method_numeric",
-            "checks_ok",
-        ]
+        fields = "family p q space orbit lambda method_exact method_numeric checks_ok".split()
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
             writer.writeheader()
             for row in rows:
-                params = row["params"]
-                writer.writerow(
-                    {
-                        "family": row["family"],
-                        "p": params[0],
-                        "q": params[1] if len(params) > 1 else "",
-                        "space": row["space"],
-                        "orbit": row["orbit"],
-                        "lambda": row["lambda"],
-                        "method_exact": row["method_exact"],
-                        "method_numeric": row["method_numeric"],
-                        "checks_ok": row["checks_ok"],
-                    }
-                )
+                p, *q = row["params"]
+                writer.writerow({**row, "p": p, "q": q[0] if q else ""})
 
     if args.json:
         payload = {"cap": args.cap, "eps": args.eps, "rows": rows}

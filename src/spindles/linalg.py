@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -89,48 +89,14 @@ def is_real_matrix(a, eps: float | None = None) -> bool:
     return float(np.max(np.abs(m.imag))) <= resolve_eps(eps)
 
 
-def commutator(a, b) -> np.ndarray:
-    """Matrix commutator ab - ba."""
-    ma, mb = ensure_square(a), ensure_square(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"commutator of shapes {ma.shape} and {mb.shape}")
-    return ma @ mb - mb @ ma
-
-
-def trace_inner(x, y) -> float:
-    """<X, Y> = -Re tr(XY), the invariant inner product on anti-Hermitian
-    matrices (positive definite there)."""
-    return float(-np.trace(np.asarray(x) @ np.asarray(y)).real)
-
-
 def mat_to_vec(a) -> np.ndarray:
     """Flatten a complex matrix to a real vector (real parts then
     imaginary parts); a (d, N, N) stack gives one such row per matrix.
     For anti-Hermitian X, Y the euclidean dot product of these vectors
-    equals trace_inner(X, Y)."""
+    equals <X, Y> = -Re tr(XY)."""
     m = np.asarray(a, dtype=complex)
     flat = m.reshape(m.shape[:-2] + (-1,))
     return np.concatenate([flat.real, flat.imag], axis=-1)
-
-
-def subspace_rank(mats: Iterable, eps: float | None = None) -> int:
-    """Real dimension of the span of the given matrices.
-
-    Matrices are flattened to real vectors and the rank is the number of
-    singular values above eps.
-    """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    if not mats:
-        return 0
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise DimensionMismatchError(
-                f"subspace_rank over mixed shapes {shape} and {m.shape}"
-            )
-    rows = np.stack([mat_to_vec(m) for m in mats])
-    svals = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(svals > resolve_eps(eps)))
 
 
 def rationalize(x: float, max_den: int = MAX_PHASE_DENOMINATOR, tol: float = PHASE_TOL) -> Fraction:

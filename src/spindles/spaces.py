@@ -127,6 +127,19 @@ def _j_matrix(n: int) -> np.ndarray:
     return j
 
 
+def _times_j(x: np.ndarray) -> np.ndarray:
+    """x @ J_n = [x_2, -x_1] for the column halves x_1, x_2 of x. J is a
+    signed permutation, so this block swap is the product to the bit."""
+    n = x.shape[1] // 2
+    return np.concatenate((x[:, n:], -x[:, :n]), axis=1)
+
+
+def _j_times(x: np.ndarray) -> np.ndarray:
+    """J_n @ x = [-x_2; x_1] for the row halves x_1, x_2 of x, to the bit."""
+    n = x.shape[0] // 2
+    return np.concatenate((-x[n:], x[:n]))
+
+
 def _signature(p: int, q: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
 
@@ -270,12 +283,9 @@ def _so_project(x: np.ndarray) -> np.ndarray:
 def _sp_project(x: np.ndarray) -> np.ndarray:
     """sp(n): (A + J A^T J)/2 for the anti-Hermitian part A. sp(n) is where
     A^T J + J A = 0, that is A = J A^T J, and A -> J A^T J is an orthogonal
-    involution of u(2n); J A^T J is written out in n x n blocks."""
+    involution of u(2n)."""
     a = _u_project(x)
-    n = len(a) // 2
-    t = a.T
-    jtj = np.block([[-t[n:, n:], t[n:, :n]], [t[:n, n:], -t[:n, :n]]])
-    return (a + jtj) / 2.0
+    return (a + _j_times(_times_j(a.T))) / 2.0
 
 
 # Each algebra's facts, spread into the records of the families realized on it.
@@ -332,16 +342,19 @@ def _in_so_times_so(g: np.ndarray, tol: float, p: int, q: int) -> bool:
     )
 
 
+def _j_intertwines(g: np.ndarray, h: np.ndarray, tol: float) -> bool:
+    """g J = J h within tol, J of the size of g."""
+    return float(np.max(np.abs(_times_j(g) - _j_times(h)))) <= tol
+
+
 def _quaternionic(g: np.ndarray, tol: float, p: int, q: int) -> bool:
     """g commutes with the quaternionic structure: g J = J conj(g)."""
-    j = _j_matrix(p + q)
-    return float(np.max(np.abs(g @ j - j @ g.conj()))) <= tol
+    return _j_intertwines(g, g.conj(), tol)
 
 
 def _in_sp_times_sp(g: np.ndarray, tol: float, n: int) -> bool:
     """g symplectic for J_2n and commuting with the CII involution."""
-    j = _j_matrix(2 * n)
-    symplectic = float(np.max(np.abs(g.T @ j @ g - j))) <= tol
+    symplectic = float(np.max(np.abs(_times_j(g.T) @ g - _j_matrix(2 * n)))) <= tol
     return symplectic and _commutes(g, _double_signature(n), tol)
 
 
@@ -445,7 +458,7 @@ _FAMILIES = {
         orbit_name=lambda n: f"U({2 * n})/Sp({n})",
         closed_form="half-angle",
         canonical=lambda n: 0.5 * _block_diag(_j_matrix(n), -_j_matrix(n)),
-        isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _commutes(g, _j_matrix(2 * n), tol),
+        isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _j_intertwines(g, g, tol),
         membership=_even_rule, table_lambda=lambda n: 2,
     ),
     "CI": FamilySpec(
@@ -456,7 +469,7 @@ _FAMILIES = {
         space_name=lambda n: f"Sp({n})/U({n})",
         orbit_name=lambda n: f"U({n})/SO({n})",
         closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
-        isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _commutes(g, _j_matrix(n), tol),
+        isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _j_intertwines(g, g, tol),
         membership=_even_rule, table_lambda=lambda n: 2,
     ),
     "CII": FamilySpec(

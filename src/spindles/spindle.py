@@ -392,12 +392,6 @@ def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSp
     )
 
 
-def _positive_data(source) -> tuple:
-    """(positive frequencies, positive p-multiplicities) from either an
-    AdSpectrum or a CartanSplit."""
-    return tuple(source.positive_frequencies), tuple(source.positive_mult_p)
-
-
 def jacobi_norm_sq(spec: AdSpectrum, components: Sequence, t) -> float:
     """Squared norm of the variation field with the given per-frequency
     component norms |X_nu|^2 at parameter t:
@@ -413,10 +407,13 @@ def jacobi_norm_sq(spec: AdSpectrum, components: Sequence, t) -> float:
         raise DimensionMismatchError(
             f"expected {len(freqs)} components (one per positive frequency), got {len(comps)}"
         )
+    if not all(math.isfinite(c) for c in comps):
+        raise ParameterError(f"component norms must be finite, got {comps}")
     if any(c < 0 for c in comps):
         raise ParameterError("component norms must be non-negative")
     if not any(c > 0 for c in comps):
         raise ParameterError("at least one component norm must be positive")
+    t = _finite_time(t)
 
     total = 0.0
     for freq, comp in zip(freqs, comps):
@@ -425,6 +422,16 @@ def jacobi_norm_sq(spec: AdSpectrum, components: Sequence, t) -> float:
         s = _sin_at(freq, t)
         total += (s * s) / (freq * freq) * comp
     return total
+
+
+def _finite_time(t):
+    """t itself if it is a RationalAngle, else float(t), which must be finite."""
+    if isinstance(t, RationalAngle):
+        return t
+    value = float(t)
+    if not math.isfinite(value):
+        raise ParameterError(f"t must be a finite number, got {t!r}")
+    return value
 
 
 def _sin_at(freq: float, t) -> float:
@@ -440,17 +447,17 @@ def slice_dimension(source, t, eps: float | None = None) -> int:
     """Dimension of the slice at parameter t: the sum of dim p_nu over
     frequencies with sin(nu t) != 0. Accepts an AdSpectrum or a
     CartanSplit; t may be a float or a RationalAngle."""
-    freqs, mults = _positive_data(source)
+    t = _finite_time(t)
     tol = resolve_eps(eps)
     total = 0
-    for freq, mult in zip(freqs, mults):
+    for freq, mult in zip(source.positive_frequencies, source.positive_mult_p):
         if isinstance(t, RationalAngle):
             k = round(freq)
             if abs(freq - k) <= BUCKET_TOL and k >= 1:
                 if not (t * int(k)).sin_is_zero:
                     total += mult
                 continue
-        if abs(math.sin(freq * (t.radians if isinstance(t, RationalAngle) else float(t)))) > tol:
+        if abs(math.sin(freq * (t.radians if isinstance(t, RationalAngle) else t))) > tol:
             total += mult
     return int(total)
 
@@ -458,6 +465,7 @@ def slice_dimension(source, t, eps: float | None = None) -> int:
 def classify_time(t, eps: float | None = None) -> str:
     """knot / centriole / regular for the slice at parameter t (knots at
     integer multiples of pi, centrioles halfway between)."""
+    t = _finite_time(t)
     if isinstance(t, RationalAngle):
         if t.sin_is_zero:
             return "knot"
@@ -604,25 +612,17 @@ def _adjoint_flags(space: SpaceInstance, g: np.ndarray, tol: float) -> tuple:
     return order_two, commutes
 
 
-def adjoint_space_check(
-    space: SpaceInstance, xi, eps: float | None = None, require_canonical: bool = True
-) -> bool:
-    """Conjunction of the two adjoint-quotient criteria; by default the
-    element must be canonical (pass require_canonical=False to probe the
-    raw criteria, e.g. on xi/2 where the order-2 half fails)."""
-    if require_canonical:
-        spec = ad_spectrum(space, xi, eps)
-        if not is_canonical(spec):
-            raise NotCanonicalError(
-                f"{space.family}: adjoint_space_check requires a canonical element"
-            )
-    order_two, commutes = adjoint_conjugation_flags(space, xi, eps)
-    return order_two and commutes
+def _twelfths_text(k: int) -> str:
+    """k/12 in lowest terms, written as RationalAngle.over_pi_text writes it."""
+    g = math.gcd(k, 12)
+    return str(k // g) if g == 12 else f"{k // g}/{12 // g}"
 
 
 @dataclass(frozen=True, eq=False)
 class SpindleReport:
-    """Everything the analysis of one (space, xi) produces."""
+    """Everything the analysis of one (space, xi) decides. The knots,
+    centrioles, slice profile and length follow from lambda_, the
+    frequencies and mult_p, and are computed when read."""
 
     family: SpaceFamily
     lambda_: int
@@ -636,36 +636,57 @@ class SpindleReport:
     dim_p: int
     orbit_dim: int
     extrinsically_symmetric: bool
-    knot_times: tuple
-    centriole_times: tuple
-    slice_profile: tuple
-    geodesic_length_over_norm: RationalAngle
     center_order: int | None
     cover_multiplier: int
     checks: Mapping
 
+    @property
+    def knot_times(self) -> tuple:
+        """The knots n*pi, 0 <= n < lambda."""
+        return tuple(RationalAngle(n) for n in range(self.lambda_))
+
+    @property
+    def centriole_times(self) -> tuple:
+        """The centrioles (2n+1)*pi/2, halfway between the knots."""
+        return tuple(RationalAngle(2 * n + 1, 2) for n in range(self.lambda_))
+
+    @property
+    def slice_profile(self) -> tuple:
+        """(t, slice dimension) at t = k*pi/12 for 0 <= k <= 12*lambda."""
+        return tuple((RationalAngle(k, 12), dim) for k, dim in enumerate(self._profile_dims()))
+
+    @property
+    def geodesic_length_over_norm(self) -> RationalAngle:
+        """Length of the closed geodesic over |xi|: lambda*pi."""
+        return RationalAngle(self.lambda_)
+
+    def _profile_dims(self) -> list:
+        """Slice dimensions at t = k*pi/12, 0 <= k <= 12*lambda: the sum of
+        dim p_nu over the integer frequencies nu with sin(nu*t) != 0, that
+        is with k*nu not a multiple of 12."""
+        nu = np.array([round(f) for f in self.frequencies[1:]])
+        k = np.arange(12 * self.lambda_ + 1)[:, None]
+        return ((k * nu % 12 != 0) @ np.array(self.mult_p[1:])).tolist()
+
     def to_json_dict(self) -> dict:
+        lam = self.lambda_
         return {
             **_shared_json(self),
-            "lambda": self.lambda_,
+            "lambda": lam,
             "method_exact": self.method_exact,
             "method_numeric": self.method_numeric,
             "frequencies": [float(nu) for nu in self.frequencies],
             "mult_k": [int(v) for v in self.mult_k],
             "mult_p": [int(v) for v in self.mult_p],
-            "dims": {
-                "g": self.dim_g,
-                "k": self.dim_k,
-                "p": self.dim_p,
-                "orbit": self.orbit_dim,
-            },
+            "dims": {"g": self.dim_g, "k": self.dim_k, "p": self.dim_p, "orbit": self.orbit_dim},
             "extrinsically_symmetric": self.extrinsically_symmetric,
-            "knot_times": [str(t) for t in self.knot_times],
-            "centriole_times": [str(t) for t in self.centriole_times],
+            "knot_times": [f"{n}/1 pi" for n in range(lam)],
+            "centriole_times": [f"{2 * n + 1}/2 pi" for n in range(lam)],
             "slice_profile": [
-                {"t_over_pi": t.over_pi_text, "dim": dim} for t, dim in self.slice_profile
+                {"t_over_pi": _twelfths_text(k), "dim": dim}
+                for k, dim in enumerate(self._profile_dims())
             ],
-            "geodesic_length_over_norm": str(self.geodesic_length_over_norm),
+            "geodesic_length_over_norm": f"{lam}/1 pi",
             "checks": dict(self.checks),
         }
 
@@ -748,14 +769,6 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
         )
     lam = exact
 
-    knots = tuple(RationalAngle(n) for n in range(lam))
-    centrioles = tuple(RationalAngle(2 * n + 1, 2) for n in range(lam))
-    # The slice at t = k*pi/12 counts dim p_nu for each integer frequency
-    # with sin(nu*t) != 0, that is with k*nu not a multiple of 12.
-    nu = np.array(integer_frequencies(spec))
-    dims = (np.arange(12 * lam + 1)[:, None] * nu % 12 != 0) @ np.array(spec.positive_mult_p)
-    profile = tuple((RationalAngle(k, 12), int(dim)) for k, dim in enumerate(dims))
-
     g = _exp_eigh(w, v, math.pi)
     checks = _report_checks(space, g, spec, lam, ext_sym, exact, numeric, tol)
     return SpindleReport(
@@ -771,10 +784,6 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
         dim_p=space.p_dim,
         orbit_dim=spec.orbit_dim,
         extrinsically_symmetric=ext_sym,
-        knot_times=knots,
-        centriole_times=centrioles,
-        slice_profile=profile,
-        geodesic_length_over_norm=RationalAngle(lam),
         center_order=space.center_order,
         cover_multiplier=space.cover_multiplier,
         checks=checks,

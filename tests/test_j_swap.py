@@ -1,0 +1,128 @@
+"""Products with J_n = [[0, -I], [I, 0]] as block swaps.
+
+J is a signed permutation, so x @ J and J @ x are x with its halves
+swapped and one of them negated, exactly. The isotropy predicates of AII,
+CII, DIII and CI and the sp(n) projector use the swaps instead of building
+J and multiplying. The oracles below are the J-matrix forms they replaced,
+kept verbatim apart from names; the swaps must give the same arrays and the
+same decisions on every return-scan candidate exp(n*pi*xi) of the cap-8
+families.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spindles.linalg import _eigh_anti_hermitian, _exp_eigh, is_real_matrix
+from spindles.spaces import (
+    SpaceFamily,
+    _commutes,
+    _double_signature,
+    _in_sp_times_sp,
+    _j_matrix,
+    _j_times,
+    _quaternionic,
+    _sp_project,
+    _times_j,
+    _u_project,
+    build_space,
+    canonical_element,
+    isotropy_contains,
+    sweep_families,
+)
+from spindles.spindle import _divisors, _phase_lcm
+
+EPS = 1e-9
+
+
+def random_complex(size, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+
+
+@pytest.mark.parametrize("size", range(2, 41, 2))
+def test_swaps_equal_products_byte_for_byte(size):
+    x = random_complex(size, size)
+    j = _j_matrix(size // 2)
+    assert _times_j(x).tobytes() == (x @ j).tobytes()
+    assert _j_times(x).tobytes() == (j @ x).tobytes()
+
+
+def oracle_quaternionic(g, tol, p, q):
+    j = _j_matrix(p + q)
+    return float(np.max(np.abs(g @ j - j @ g.conj()))) <= tol
+
+
+def oracle_in_sp_times_sp(g, tol, n):
+    j = _j_matrix(2 * n)
+    symplectic = float(np.max(np.abs(g.T @ j @ g - j))) <= tol
+    return symplectic and _commutes(g, _double_signature(n), tol)
+
+
+def oracle_real_commuting_with_j(g, tol, half):
+    return is_real_matrix(g, tol) and _commutes(g, _j_matrix(half), tol)
+
+
+def oracle_sp_project(x):
+    a = _u_project(x)
+    n = len(a) // 2
+    t = a.T
+    jtj = np.block([[-t[n:, n:], t[n:, :n]], [t[:n, n:], -t[:n, :n]]])
+    return (a + jtj) / 2.0
+
+
+def scan_candidates(family):
+    """exp(n*pi*xi) at the canonical xi for every divisor n of n_max, the
+    matrices the return scan may test."""
+    w, v = _eigh_anti_hermitian(canonical_element(family), EPS, "scan_candidates")
+    return [_exp_eigh(w, v, n * math.pi) for n in _divisors(2 * _phase_lcm(w))]
+
+
+def families(*tags):
+    return [f for f in sweep_families(8) if f.tag in tags]
+
+
+@pytest.mark.parametrize("family", families("AII", "CII", "DIII", "CI"), ids=str)
+def test_isotropy_matches_j_matrix_form(family):
+    space = build_space(family)
+    params = family.params
+    oracle = {
+        "AII": lambda g: oracle_quaternionic(g, EPS, *params),
+        "CII": lambda g: oracle_in_sp_times_sp(g, EPS, *params),
+        "DIII": lambda g: oracle_real_commuting_with_j(g, EPS, 2 * params[0]),
+        "CI": lambda g: oracle_real_commuting_with_j(g, EPS, params[0]),
+    }[family.tag]
+    decisions = []
+    for g in scan_candidates(family):
+        got = isotropy_contains(space, g, EPS)
+        assert got == oracle(g)
+        decisions.append(got)
+    assert any(decisions)
+
+
+def test_residuals_equal_j_matrix_form():
+    for family in families("AII", "CII"):
+        for g in scan_candidates(family):
+            j = _j_matrix(g.shape[0] // 2)
+            assert np.array_equal(_times_j(g) - _j_times(g.conj()), g @ j - j @ g.conj())
+            assert np.array_equal(_times_j(g.T) @ g, g.T @ j @ g)
+
+
+def test_decisions_cover_both_outcomes():
+    # AII(1,2) has lambda 3 and n_max 6: n = 1 fails and n = 3 passes, in
+    # both forms. CII(2) has lambda 2 and n_max 4.
+    g1, _, g3, _ = scan_candidates(SpaceFamily.make("AII", 1, 2))
+    assert not _quaternionic(g1, EPS, 1, 2) and not oracle_quaternionic(g1, EPS, 1, 2)
+    assert _quaternionic(g3, EPS, 1, 2) and oracle_quaternionic(g3, EPS, 1, 2)
+    g1, g2 = scan_candidates(SpaceFamily.make("CII", 2))[:2]
+    assert not _in_sp_times_sp(g1, EPS, 2) and not oracle_in_sp_times_sp(g1, EPS, 2)
+    assert _in_sp_times_sp(g2, EPS, 2) and oracle_in_sp_times_sp(g2, EPS, 2)
+
+
+@pytest.mark.parametrize("family", families("CI", "CII", "GRP_c"), ids=str)
+def test_sp_project_matches_block_form(family):
+    size = family.ambient_dim
+    xs = scan_candidates(family) + [canonical_element(family), random_complex(size, size)]
+    for x in xs:
+        assert _sp_project(x).tobytes() == oracle_sp_project(x).tobytes()

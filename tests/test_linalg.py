@@ -11,16 +11,51 @@ from spindles.errors import (
 )
 from spindles.linalg import (
     RationalAngle,
-    commutator,
+    ensure_square,
     exp_generic,
     exp_structured,
     is_anti_hermitian,
     is_unitary,
     mat_to_vec,
     rationalize,
-    subspace_rank,
-    trace_inner,
+    resolve_eps,
 )
+
+
+# Test oracles: the bracket, the inner product and the span dimension that
+# the tests check the package against, one matrix at a time. The package
+# brackets whole stacks and works in coordinates, so it has no use for them.
+# The other test modules import them from here; TestBasics and
+# TestSubspaceRank check them.
+
+
+def commutator(a, b) -> np.ndarray:
+    """Matrix commutator ab - ba."""
+    ma, mb = ensure_square(a), ensure_square(b)
+    if ma.shape != mb.shape:
+        raise DimensionMismatchError(f"commutator of shapes {ma.shape} and {mb.shape}")
+    return ma @ mb - mb @ ma
+
+
+def trace_inner(x, y) -> float:
+    """<X, Y> = -Re tr(XY), the invariant inner product on anti-Hermitian
+    matrices (positive definite there)."""
+    return float(-np.trace(np.asarray(x) @ np.asarray(y)).real)
+
+
+def subspace_rank(mats, eps=None) -> int:
+    """Real dimension of the span of the given matrices: the number of
+    singular values above eps of the matrices flattened to real vectors."""
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    if not mats:
+        return 0
+    shape = mats[0].shape
+    for m in mats[1:]:
+        if m.shape != shape:
+            raise DimensionMismatchError(f"subspace_rank over mixed shapes {shape} and {m.shape}")
+    rows = np.stack([mat_to_vec(m) for m in mats])
+    svals = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(svals > resolve_eps(eps)))
 
 
 def random_anti_hermitian(n, seed):

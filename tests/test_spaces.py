@@ -6,7 +6,7 @@ from spindles.errors import (
     NotUnitaryError,
     ParameterError,
 )
-from spindles.linalg import RationalAngle, exp_generic, subspace_rank
+from spindles.linalg import RationalAngle, exp_generic
 from spindles.spaces import (
     FAMILY_TAGS,
     PQ_FAMILIES,
@@ -18,6 +18,7 @@ from spindles.spaces import (
     stated_membership,
     sweep_families,
 )
+from test_linalg import subspace_rank
 
 
 def so_dim(m):

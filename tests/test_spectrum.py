@@ -36,6 +36,7 @@ from spindles.spindle import (
     is_extrinsically_symmetric_type,
     normalize_canonical,
 )
+from test_linalg import commutator, trace_inner
 
 EPS = 1e-9
 CAP6 = [str(family) for family in sweep_families(6)]
@@ -57,8 +58,6 @@ class TestAdMatrix:
         space = build_space(family)
         xi = canonical_element(family)
         a = ad_matrix(space, xi)
-        from spindles.linalg import commutator, trace_inner
-
         for i in range(space.dim_g):
             for j in range(space.dim_g):
                 want = trace_inner(

@@ -16,7 +16,6 @@ from spindles.spindle import (
     AdSpectrum,
     _report_checks,
     adjoint_conjugation_flags,
-    adjoint_space_check,
     center_divisibility_check,
     closed_form_lambda,
     jacobi_norm_sq,
@@ -164,7 +163,7 @@ class TestAdjointChecks:
     def test_canonical_passes(self):
         family = SpaceFamily.make("AII", 1, 2)
         space = build_space(family)
-        assert adjoint_space_check(space, canonical_element(family))
+        assert adjoint_conjugation_flags(space, canonical_element(family)) == (True, True)
 
     def test_half_element_fails_raw_flags(self):
         family = SpaceFamily.make("AI", 1, 2)
@@ -172,13 +171,6 @@ class TestAdjointChecks:
         xi = canonical_element(family)
         order_two, _ = adjoint_conjugation_flags(space, 0.5 * xi)
         assert not order_two
-        assert not adjoint_space_check(space, 0.5 * xi, require_canonical=False)
-
-    def test_half_element_gated_by_default(self):
-        family = SpaceFamily.make("AI", 1, 2)
-        space = build_space(family)
-        with pytest.raises(NotCanonicalError):
-            adjoint_space_check(space, 0.5 * canonical_element(family))
 
 
 class TestEpsResolvedOnce:

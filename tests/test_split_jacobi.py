@@ -8,7 +8,7 @@ from spindles.errors import (
     NotCanonicalError,
     ParameterError,
 )
-from spindles.linalg import RationalAngle, commutator, exp_generic, subspace_rank, trace_inner
+from spindles.linalg import RationalAngle, exp_generic
 from spindles.spaces import SpaceFamily, build_space, canonical_element
 from spindles.spindle import (
     AdSpectrum,
@@ -18,6 +18,7 @@ from spindles.spindle import (
     jacobi_norm_sq,
     slice_dimension,
 )
+from test_linalg import commutator, subspace_rank, trace_inner
 
 SPLIT_CASES = [
     ("AI", (1, 3)),
@@ -185,3 +186,29 @@ class TestSliceDimension:
         assert classify_time(math.pi) == "knot"
         assert classify_time(1.5 * math.pi) == "centriole"
         assert classify_time(1.0) == "regular"
+
+
+class TestNonFiniteInput:
+    # A nan or inf t or component norm has no slice or norm to report; it is
+    # refused with a ParameterError naming the argument.
+    SPEC = AdSpectrum((0.0, 1.0, 2.0), (1, 1, 1), (1, 1, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_jacobi_component(self, bad):
+        with pytest.raises(ParameterError, match="^component norms must be finite"):
+            jacobi_norm_sq(self.SPEC, [1.0, bad], 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_jacobi_time(self, bad):
+        with pytest.raises(ParameterError, match=f"^t must be a finite number, got {bad!r}$"):
+            jacobi_norm_sq(self.SPEC, [1.0, 1.0], bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_slice_dimension_time(self, bad):
+        with pytest.raises(ParameterError, match=f"^t must be a finite number, got {bad!r}$"):
+            slice_dimension(self.SPEC, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_classify_time(self, bad):
+        with pytest.raises(ParameterError, match=f"^t must be a finite number, got {bad!r}$"):
+            classify_time(bad)

@@ -19,7 +19,6 @@ import pytest
 from spindles import SpaceFamily, build_space, canonical_element, sweep_families
 from spindles.linalg import (
     RationalAngle,
-    commutator,
     exp_generic,
     exp_structured,
     mat_to_vec,
@@ -34,6 +33,7 @@ from spindles.verification import (
     rational_angle_bulk_check,
     structural_checks,
 )
+from test_linalg import commutator
 
 
 def oracle_pairs(dim, seed=0):
