@@ -60,19 +60,17 @@ def _checks_ok(report) -> bool:
     )
 
 
-# Report keys a table row carries next to its catalog entry.
-_ROW_REPORT_KEYS = (
-    "lambda", "method_exact", "method_numeric", "frequencies", "extrinsically_symmetric"
-)
-
-
 def _row(space, report) -> dict:
-    full = report.to_json_dict()
-    row = catalog_entry(space)
-    row.update({key: full[key] for key in _ROW_REPORT_KEYS})
-    row["orbit_dim"] = report.orbit_dim
-    row["checks_ok"] = _checks_ok(report)
-    return row
+    return {
+        **catalog_entry(space),
+        "lambda": report.lambda_,
+        "method_exact": report.method_exact,
+        "method_numeric": report.method_numeric,
+        "frequencies": [float(nu) for nu in report.frequencies],
+        "extrinsically_symmetric": report.extrinsically_symmetric,
+        "orbit_dim": report.orbit_dim,
+        "checks_ok": _checks_ok(report),
+    }
 
 
 def cmd_table(args) -> int:

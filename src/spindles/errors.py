@@ -61,8 +61,8 @@ class SpectrumBucketingError(SpindleError, RuntimeError):
 
 
 class MembershipSearchError(SpindleError, RuntimeError):
-    """The geodesic membership scan exhausted its bound without finding a
-    return time (inconsistent catalog data)."""
+    """The numeric return scan found no return time among the divisors of
+    its bound (an isotropy predicate inconsistent with the element)."""
 
 
 class CatalogInconsistencyError(SpindleError, RuntimeError):

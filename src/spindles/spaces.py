@@ -23,10 +23,10 @@ Every fact about a family lives in its FamilySpec record in the _FAMILIES
 table, in catalog order: parameter shape and lower bound, ambient size,
 the algebra (basis, dimension, root rule, projector), involution and the
 dimension of its fixed subalgebra k, names, closed-form tag, canonical
-element, isotropy predicate, stated membership rule, table lambda, center
-and cover multiplier. FAMILY_TAGS and PQ_FAMILIES are read off the
-table, and the public functions below look a family up there; adding a
-family is one new record.
+element, isotropy predicate, table lambda, center, cover multiplier and
+whether K is the identity component of sigma's fixed group. FAMILY_TAGS
+and PQ_FAMILIES are read off the table, and the public functions below
+look a family up there; adding a family is one new record.
 
 build_space does O(N^2) work and builds no basis: dim g and dim k come
 from the formulas, and tangency is tested with the algebra's closed-form
@@ -89,9 +89,9 @@ class FamilySpec:
     (p, q) or (n,), as trailing positional arguments.
 
     The three lambda facts are written independently of each other:
-    `membership` decides exp(t*xi) in K exactly from t/pi (a Fraction),
-    `isotropy` decides a unitary matrix g numerically at tolerance tol,
-    and `table_lambda` is the published value."""
+    `identity_component` is the family's part of stated_membership's exact
+    rule, `isotropy` decides a unitary matrix g numerically at tolerance
+    tol, and `table_lambda` is the published value."""
 
     pq: bool  # parameters 1 <= p <= q, else a single n
     lower_bound: int  # least p + q, or least n
@@ -109,10 +109,11 @@ class FamilySpec:
     closed_form: str  # see linalg.exp_structured
     canonical: Callable[..., np.ndarray]
     isotropy: Callable[..., bool]  # (g, tol, *params)
-    membership: Callable[..., bool]  # (t / pi, *params)
     table_lambda: Callable[..., int]
     center: Callable[..., tuple] = _no_center  # (order or None, provenance note)
     cover: int = 1
+    # K is the identity component SO(p)xSO(q) of the fixed group S(O(p)xO(q)).
+    identity_component: bool = False
 
 
 def _eye(n: int) -> np.ndarray:
@@ -140,8 +141,13 @@ def _j_times(x: np.ndarray) -> np.ndarray:
     return np.concatenate((-x[n:], x[:n]))
 
 
-def _signature(p: int, q: int) -> np.ndarray:
-    return np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
+def _signs(*sizes: int) -> np.ndarray:
+    """+1 on the first block of sizes, -1 on the second, +1 on the third, ..."""
+    return np.concatenate([np.full(m, (-1.0) ** i) for i, m in enumerate(sizes)])
+
+
+def _signature(*sizes: int) -> np.ndarray:
+    return np.diag(_signs(*sizes)).astype(complex)
 
 
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -152,11 +158,6 @@ def _block_diag(*blocks: np.ndarray) -> np.ndarray:
         out[start : start + b.shape[0], start : start + b.shape[0]] = b
         start += b.shape[0]
     return out
-
-
-def _double_signature(n: int) -> np.ndarray:
-    """diag(I_n, -I_n, I_n, -I_n), the CII involution."""
-    return _block_diag(_signature(n, n), _signature(n, n))
 
 
 def _su_dim(m: int) -> int:
@@ -329,15 +330,17 @@ def _det_one(g: np.ndarray, tol: float) -> bool:
     return abs(np.linalg.det(g) - 1.0) <= max(tol, 1e-9)
 
 
-def _commutes(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
-    return float(np.max(np.abs(a @ b - b @ a))) <= eps
+def _commutes_diag(g: np.ndarray, s: np.ndarray, tol: float) -> bool:
+    """g commutes with diag(s) for signs s within tol: g diag(s) - diag(s) g
+    has the entries g_ij (s_j - s_i), the same floats as the products."""
+    return float(np.max(np.abs(g * (s - s[:, None])))) <= tol
 
 
 def _in_so_times_so(g: np.ndarray, tol: float, p: int, q: int) -> bool:
     """g in SO(p) x SO(q), block diagonal in the signature splitting."""
     return (
         is_real_matrix(g, tol)
-        and _commutes(g, _signature(p, q), tol)
+        and _commutes_diag(g, _signs(p, q), tol)
         and all(_det_one(block, tol) for block in (g[:p, :p], g[p:, p:]))
     )
 
@@ -355,25 +358,12 @@ def _quaternionic(g: np.ndarray, tol: float, p: int, q: int) -> bool:
 def _in_sp_times_sp(g: np.ndarray, tol: float, n: int) -> bool:
     """g symplectic for J_2n and commuting with the CII involution."""
     symplectic = float(np.max(np.abs(_times_j(g.T) @ g - _j_matrix(2 * n)))) <= tol
-    return symplectic and _commutes(g, _double_signature(n), tol)
+    return symplectic and _commutes_diag(g, _signs(n, n, n, n), tol)
 
 
 def _squares_to_one(g: np.ndarray, tol: float, *_) -> bool:
     """Group families: exp(t xi) = exp(-t xi) iff g^2 = I."""
     return float(np.max(np.abs(g @ g - np.eye(g.shape[0])))) <= tol
-
-
-# Stated membership rules, on f = t/pi.
-
-
-def _phase_rule(f, p: int, q: int) -> bool:
-    """t*a and t*b in pi*Z for the phases a, b of the diagonal element."""
-    return (f * q) % (p + q) == 0 and (f * p) % (p + q) == 0
-
-
-def _even_rule(f, *_) -> bool:
-    """t in 2*pi*Z."""
-    return f % 2 == 0
 
 
 def _phase_lambda(p: int, q: int) -> int:
@@ -396,7 +386,7 @@ _FAMILIES = {
         orbit_name=lambda p, q: f"SO({p + q})/S(O({p})xO({q}))",
         closed_form="diagonal-phase", canonical=_phase_element,
         isotropy=lambda g, tol, p, q: is_real_matrix(g, tol) and _det_one(g, tol),
-        membership=_phase_rule, table_lambda=_phase_lambda,
+        table_lambda=_phase_lambda,
         center=lambda p, q: (
             (3, "isometry group SU(6)/Z_2 has center of order 3") if p + q == 6 else _no_center()
         ),
@@ -409,7 +399,7 @@ _FAMILIES = {
         space_name=lambda p, q: f"SU({2 * (p + q)})/Sp({p + q})",
         orbit_name=lambda p, q: f"Sp({p + q})/Sp({p})xSp({q})",
         closed_form="diagonal-phase", canonical=lambda p, q: _phase_element(p, q, copies=2),
-        isotropy=_quaternionic, membership=_phase_rule, table_lambda=_phase_lambda,
+        isotropy=_quaternionic, table_lambda=_phase_lambda,
     ),
     "AIII": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
@@ -419,8 +409,8 @@ _FAMILIES = {
         space_name=lambda n: f"SU({2 * n})/S(U({n})xU({n}))",
         orbit_name=lambda n: f"U({n})",
         closed_form="half-angle", canonical=lambda n: _half_swap(n, 2),
-        isotropy=lambda g, tol, n: _commutes(g, _signature(n, n), tol) and _det_one(g, tol),
-        membership=_even_rule, table_lambda=lambda n: 2,
+        isotropy=lambda g, tol, n: _commutes_diag(g, _signs(n, n), tol) and _det_one(g, tol),
+        table_lambda=lambda n: 2,
     ),
     "BDI_rank1": FamilySpec(
         # p + q = 2 would give the abelian SO(2).
@@ -431,9 +421,7 @@ _FAMILIES = {
         space_name=lambda p, q: f"SO({p + q})/SO({p})xSO({q})",
         orbit_name=lambda p, q: f"(S^{p - 1}xS^{q - 1})/Z2",
         closed_form="rotation-block", canonical=lambda p, q: _rotation(p, p + q),
-        # Block determinants rule out the odd multiples of pi.
-        isotropy=_in_so_times_so, membership=_even_rule,
-        table_lambda=lambda p, q: 2,
+        isotropy=_in_so_times_so, table_lambda=lambda p, q: 2, identity_component=True,
     ),
     "BDI_split": FamilySpec(
         # n = 1 would give the abelian SO(2).
@@ -445,9 +433,7 @@ _FAMILIES = {
         orbit_name=lambda n: f"SO({n})",
         closed_form="half-angle", canonical=lambda n: 0.5 * _j_matrix(n),
         isotropy=lambda g, tol, n: _in_so_times_so(g, tol, n, n),
-        # Block-determinant parity: odd n needs t in 4*pi*Z.
-        membership=lambda f, n: f % 2 == 0 and (n % 2 == 0 or f % 4 == 0),
-        table_lambda=lambda n: 2 if n % 2 == 0 else 4,
+        table_lambda=lambda n: 2 if n % 2 == 0 else 4, identity_component=True,
     ),
     "DIII": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n,
@@ -459,7 +445,7 @@ _FAMILIES = {
         closed_form="half-angle",
         canonical=lambda n: 0.5 * _block_diag(_j_matrix(n), -_j_matrix(n)),
         isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _j_intertwines(g, g, tol),
-        membership=_even_rule, table_lambda=lambda n: 2,
+        table_lambda=lambda n: 2,
     ),
     "CI": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
@@ -470,17 +456,17 @@ _FAMILIES = {
         orbit_name=lambda n: f"U({n})/SO({n})",
         closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
         isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _j_intertwines(g, g, tol),
-        membership=_even_rule, table_lambda=lambda n: 2,
+        table_lambda=lambda n: 2,
     ),
     "CII": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n,
         **_SP,
-        sigma_conj=False, sigma_matrix=_double_signature,
+        sigma_conj=False, sigma_matrix=lambda n: _signature(n, n, n, n),
         k_dim=lambda n: 2 * _sp_dim(2 * n),  # sp(n)+sp(n)
         space_name=lambda n: f"Sp({2 * n})/Sp({n})xSp({n})",
         orbit_name=lambda n: f"Sp({n})",
         closed_form="half-angle", canonical=lambda n: _half_swap(n, 4),
-        isotropy=_in_sp_times_sp, membership=_even_rule, table_lambda=lambda n: 2,
+        isotropy=_in_sp_times_sp, table_lambda=lambda n: 2,
     ),
     "GRP_a": FamilySpec(
         pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q,
@@ -490,7 +476,7 @@ _FAMILIES = {
         space_name=lambda p, q: f"SU({p + q})",
         orbit_name=lambda p, q: f"SU({p + q})/S(U({p})xU({q}))",
         closed_form="diagonal-phase", canonical=_phase_element,
-        isotropy=_squares_to_one, membership=_phase_rule, table_lambda=_phase_lambda,
+        isotropy=_squares_to_one, table_lambda=_phase_lambda,
         center=lambda p, q: (p + q, f"center of the simply connected SU({p + q}) is Z_{p + q}"),
     ),
     "GRP_bd": FamilySpec(
@@ -502,8 +488,7 @@ _FAMILIES = {
         space_name=lambda n: f"Spin({n})",
         orbit_name=lambda n: f"SO({n})/(SO(2)xSO({n - 2}))",
         closed_form="rotation-block", canonical=lambda n: _rotation(1, n),
-        isotropy=_squares_to_one, membership=lambda f, n: f % 1 == 0,
-        table_lambda=lambda n: 2, center=_spin_center, cover=2,
+        isotropy=_squares_to_one, table_lambda=lambda n: 2, center=_spin_center, cover=2,
     ),
     "GRP_c": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
@@ -513,7 +498,7 @@ _FAMILIES = {
         space_name=lambda n: f"Sp({n})",
         orbit_name=lambda n: f"Sp({n})/U({n})",
         closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
-        isotropy=_squares_to_one, membership=_even_rule, table_lambda=lambda n: 2,
+        isotropy=_squares_to_one, table_lambda=lambda n: 2,
         center=lambda n: (2, f"center of Sp({n}) is Z_2"),
     ),
     "GRP_d": FamilySpec(
@@ -525,7 +510,7 @@ _FAMILIES = {
         space_name=lambda n: f"Spin({2 * n})",
         orbit_name=lambda n: f"SO({2 * n})/U({n})",
         closed_form="half-angle", canonical=lambda n: 0.5 * _j_matrix(n),
-        isotropy=_squares_to_one, membership=_even_rule, table_lambda=lambda n: 4,
+        isotropy=_squares_to_one, table_lambda=lambda n: 4,
         center=lambda n: _spin_center(2 * n), cover=2,
     ),
 }
@@ -774,16 +759,19 @@ def isotropy_contains(space: SpaceInstance, g, eps: float | None = None) -> bool
     return family._spec.isotropy(m, tol, *family.params)
 
 
-def stated_membership(family: SpaceFamily, t: RationalAngle) -> bool:
-    """The family's published membership condition for exp(t*xi), decided
-    in exact rational arithmetic.
+def stated_membership(family: SpaceFamily, phases, t: RationalAngle) -> bool:
+    """Whether exp(t*xi) lies in K, in exact arithmetic from the eigenvalues
+    of -i*xi alone, given as (Fraction, multiplicity) pairs in `phases`.
 
-    Diagonal-phase types: t*a and t*b in pi*Z. Half-angle quotient types
-    and GRP_c/GRP_d: t in 2*pi*Z, with the extra block-determinant parity
-    for the split orthogonal family. Rank-one rotation: t in 2*pi*Z
-    (block dets rule out odd multiples of pi); group rotation: t in pi*Z.
-    """
-    return family._spec.membership(t.fraction, *family.params)
+    For xi in p, sigma(exp(t*xi)) = exp(-t*xi), so exp(t*xi) is fixed by
+    sigma iff exp(2*t*xi) = I, that is iff f*w is an integer for every
+    phase w, f = t/pi (for the group families: g^2 = I). K is that fixed
+    group but for BDI, whose K = SO(p)xSO(q) is its identity component:
+    there the p-block determinant, (-1)^(f * the sum of the phases w > 0),
+    must also be 1."""
+    f = t.fraction
+    turns = sum(w * m for w, m in phases if w > 0) if family._spec.identity_component else 0
+    return all((f * w).denominator == 1 for w, _ in phases) and (f * turns) % 2 == 0
 
 
 def sweep_families(cap: int) -> Iterator[SpaceFamily]:

@@ -7,8 +7,8 @@ variation-field norms along the distinguished geodesic, classifies
 slices into knots/centrioles/regular levels, and computes the spindle
 number by two independent methods that are asserted to agree:
 
-  * exact: the published membership condition at t = n*pi, evaluated in
-    integer arithmetic and searched for the least n;
+  * exact: from the eigenphases of xi alone, as rationals with least
+    common denominator D, stated_membership asked once at t = D*pi;
   * numeric: eigendecompose xi, scan g = exp(n*pi*xi) against the
     isotropy predicate over the divisors of a termination bound derived
     from the rational eigenphases of xi.
@@ -486,16 +486,14 @@ def closed_form_lambda(family: SpaceFamily) -> int:
     return family._spec.table_lambda(*family.params)
 
 
-def method_exact(family: SpaceFamily) -> int:
-    """Least n >= 1 with the published membership condition at t = n*pi,
-    found by exact search, times the covering multiplier."""
-    bound = 4 * sum(family.params) + 8
-    for n in range(1, bound + 1):
-        if stated_membership(family, RationalAngle(n)):
-            return n * family.cover_multiplier
-    raise MembershipSearchError(
-        f"{family}: no membership at t = n*pi for n <= {bound}"
-    )
+def method_exact(family: SpaceFamily, w: np.ndarray) -> int:
+    """lambda, times the cover, from the eigenvalues w of -i*xi alone: n*w
+    is integral iff D divides n, D the lcm of the phase denominators, and
+    stated_membership adds at most a parity that 2*D meets."""
+    phases = _rational_phases(w)
+    d = math.lcm(*(f.denominator for f, _ in phases))
+    n = d if stated_membership(family, phases, RationalAngle(d)) else 2 * d
+    return n * family.cover_multiplier
 
 
 def method_numeric(space: SpaceInstance, xi, eps: float | None = None) -> int:
@@ -518,29 +516,31 @@ def _divisors(n: int) -> list:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _phase_lcm(w: np.ndarray) -> int:
-    """Least common denominator of the eigenphases w, each identified with
-    a rational by rationalize.
-
-    Values within PHASE_CLUSTER_TOL of a cluster's first value share its
-    fraction, so each cluster is rationalized once; every other member must
-    lie within rationalize's tolerance of that fraction. Two distinct
-    admissible phases are at least 1/(4096*4095) ~ 6e-8 apart, so one
-    cluster never spans two of them. eigh returns w ascending, which keeps
-    the clusters contiguous."""
-    denominators = set()
-    first = None
+def _rational_phases(w: np.ndarray) -> list:
+    """[fraction, size] of each cluster of the eigenphases w, identified with
+    a rational by rationalize. Values within PHASE_CLUSTER_TOL of a cluster's
+    first value share its fraction, so each cluster is rationalized once;
+    every other member must lie within PHASE_TOL of that fraction. Distinct
+    admissible phases are at least 1/(4096*4095) ~ 6e-8 apart, so a cluster
+    never spans two. eigh returns w ascending, so clusters are contiguous."""
+    clusters = []
     for val in w.tolist():
-        if first is None or abs(val - first) > PHASE_CLUSTER_TOL:
-            first = val
-            frac = rationalize(val)
+        if not clusters or abs(val - first) > PHASE_CLUSTER_TOL:
+            first, frac = val, rationalize(val)
             value = float(frac)
-            denominators.add(frac.denominator)
+            clusters.append([frac, 1])
         elif abs(value - val) > PHASE_TOL:
             raise RationalizationError(
                 f"{val!r} is not within {PHASE_TOL} of {frac}, the phase of its cluster"
             )
-    return math.lcm(*denominators)
+        else:
+            clusters[-1][1] += 1
+    return clusters
+
+
+def _phase_lcm(w: np.ndarray) -> int:
+    """Least common denominator of the eigenphases w as rationals."""
+    return math.lcm(*(f.denominator for f, _ in _rational_phases(w)))
 
 
 def _return_scan(space: SpaceInstance, w: np.ndarray, v: np.ndarray, eps: float | None) -> int:
@@ -746,8 +746,8 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
 
     eps is resolved once here (None reads SPINDLE_EPS) and passed down as
     a float. One eigendecomposition xi = i v diag(w) v* gives the
-    spectrum (from root data), the return scan and g = exp(pi*xi), so the
-    analysis is O(N^3) after build_space."""
+    spectrum (from root data), the exact route (from w alone), the return
+    scan and g = exp(pi*xi), so the analysis is O(N^3) after build_space."""
     tol = resolve_eps(eps)
     if xi is None:
         xi = canonical_element(space.family)
@@ -761,7 +761,7 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
             f"got frequencies {spec.frequencies}"
         )
 
-    exact = method_exact(space.family)
+    exact = method_exact(space.family, w)
     numeric = _return_scan(space, w, v, tol)
     if exact != numeric:
         raise MethodDisagreementError(

@@ -8,8 +8,8 @@ re-derived here by an independent route and compared:
     tangent;
   * exponentials: the closed form agrees with the eigendecomposition
     route on a grid of rational angles;
-  * membership: the isotropy predicate agrees with the published
-    membership condition along the canonical geodesic;
+  * membership: the isotropy predicate agrees with the exact membership
+    rule, read from the eigenphases of xi, along the canonical geodesic;
   * spindle: the exact and numeric methods agree with each other and
     with the closed-form table value, and the per-report geometric
     checks (variation-field zeros, slice profile, symmetries, adjoint
@@ -48,6 +48,7 @@ from .spaces import (
     sweep_families,
 )
 from .spindle import (
+    _rational_phases,
     ad_spectrum,
     closed_form_lambda,
     is_canonical,
@@ -195,15 +196,16 @@ def exp_agreement_check(space: SpaceInstance, eps: float | None = None) -> Check
 
 
 def isotropy_scan_check(space: SpaceInstance, eps: float | None = None) -> CheckResult:
-    """isotropy predicate vs published membership condition on t = k*pi/6,
-    with one closed-form check of xi for all angles."""
+    """isotropy predicate vs the exact membership rule (from the phases of
+    xi) on t = k*pi/6, with one closed-form check of xi for all angles."""
     xi = canonical_element(space.family)
+    phases = _rational_phases(np.linalg.eigvalsh(-1j * xi))
     angles = [RationalAngle(k, 6) for k in range(0, 24 * space.cover_multiplier + 1)]
     exps = _exp_structured_many(xi, angles, space.family.closed_form, eps)
     mismatches = []
     for k, (t, g) in enumerate(zip(angles, exps)):
         got = isotropy_contains(space, g, eps)
-        want = stated_membership(space.family, t)
+        want = stated_membership(space.family, phases, t)
         if got != want:
             mismatches.append((k, got, want))
     return CheckResult(

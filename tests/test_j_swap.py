@@ -1,12 +1,15 @@
-"""Products with J_n = [[0, -I], [I, 0]] as block swaps.
+"""Products with J_n = [[0, -I], [I, 0]] as block swaps, and commutation
+with a signature as an elementwise product.
 
 J is a signed permutation, so x @ J and J @ x are x with its halves
 swapped and one of them negated, exactly. The isotropy predicates of AII,
 CII, DIII and CI and the sp(n) projector use the swaps instead of building
-J and multiplying. The oracles below are the J-matrix forms they replaced,
-kept verbatim apart from names; the swaps must give the same arrays and the
-same decisions on every return-scan candidate exp(n*pi*xi) of the cap-8
-families.
+J and multiplying. Likewise g S - S g for S = diag(s), s a vector of
+signs, has the entries g_ij (s_j - s_i), and the predicates of AIII, BDI
+and CII read them so instead of building S. The oracles below are the
+matrix forms they replaced, kept verbatim apart from names; the new forms
+must give the same arrays and the same decisions on every return-scan
+candidate exp(n*pi*xi) of the cap-8 families.
 """
 
 import math
@@ -17,12 +20,15 @@ import pytest
 from spindles.linalg import _eigh_anti_hermitian, _exp_eigh, is_real_matrix
 from spindles.spaces import (
     SpaceFamily,
-    _commutes,
-    _double_signature,
+    _block_diag,
+    _commutes_diag,
+    _det_one,
     _in_sp_times_sp,
     _j_matrix,
     _j_times,
     _quaternionic,
+    _signature,
+    _signs,
     _sp_project,
     _times_j,
     _u_project,
@@ -49,6 +55,22 @@ def test_swaps_equal_products_byte_for_byte(size):
     assert _j_times(x).tobytes() == (j @ x).tobytes()
 
 
+def oracle_commutes(a, b, eps):
+    return float(np.max(np.abs(a @ b - b @ a))) <= eps
+
+
+def oracle_double_signature(n):
+    return _block_diag(_signature(n, n), _signature(n, n))
+
+
+def oracle_in_so_times_so(g, tol, p, q):
+    return (
+        is_real_matrix(g, tol)
+        and oracle_commutes(g, _signature(p, q), tol)
+        and all(_det_one(block, tol) for block in (g[:p, :p], g[p:, p:]))
+    )
+
+
 def oracle_quaternionic(g, tol, p, q):
     j = _j_matrix(p + q)
     return float(np.max(np.abs(g @ j - j @ g.conj()))) <= tol
@@ -57,11 +79,11 @@ def oracle_quaternionic(g, tol, p, q):
 def oracle_in_sp_times_sp(g, tol, n):
     j = _j_matrix(2 * n)
     symplectic = float(np.max(np.abs(g.T @ j @ g - j))) <= tol
-    return symplectic and _commutes(g, _double_signature(n), tol)
+    return symplectic and oracle_commutes(g, oracle_double_signature(n), tol)
 
 
 def oracle_real_commuting_with_j(g, tol, half):
-    return is_real_matrix(g, tol) and _commutes(g, _j_matrix(half), tol)
+    return is_real_matrix(g, tol) and oracle_commutes(g, _j_matrix(half), tol)
 
 
 def oracle_sp_project(x):
@@ -99,6 +121,42 @@ def test_isotropy_matches_j_matrix_form(family):
         assert got == oracle(g)
         decisions.append(got)
     assert any(decisions)
+
+
+@pytest.mark.parametrize("family", families("AIII", "BDI_rank1", "BDI_split", "CII"), ids=str)
+def test_isotropy_matches_signature_matrix_form(family):
+    space = build_space(family)
+    params = family.params
+    oracle = {
+        "AIII": lambda g: oracle_commutes(g, _signature(*params, *params), EPS)
+        and _det_one(g, EPS),
+        "BDI_rank1": lambda g: oracle_in_so_times_so(g, EPS, *params),
+        "BDI_split": lambda g: oracle_in_so_times_so(g, EPS, *params, *params),
+        "CII": lambda g: oracle_in_sp_times_sp(g, EPS, *params),
+    }[family.tag]
+    decisions = []
+    for g in scan_candidates(family):
+        got = isotropy_contains(space, g, EPS)
+        assert got == oracle(g)
+        decisions.append(got)
+    assert any(decisions)
+
+
+@pytest.mark.parametrize("size", range(2, 41))
+def test_sign_residuals_equal_matrix_products(size):
+    # Every split p of a random complex matrix: the largest entry, which
+    # the predicates compare with tol, is the same float.
+    g = random_complex(size, size)
+    for p in range(1, size):
+        s = _signs(p, size - p)
+        want = float(np.max(np.abs(g @ _signature(p, size - p) - _signature(p, size - p) @ g)))
+        assert float(np.max(np.abs(g * (s - s[:, None])))) == want
+        assert _commutes_diag(g, s, want) and not _commutes_diag(g, s, want / 2)
+
+
+def test_four_block_signature_is_the_cii_involution():
+    for n in range(1, 6):
+        assert _signature(n, n, n, n).tobytes() == oracle_double_signature(n).tobytes()
 
 
 def test_residuals_equal_j_matrix_form():

@@ -157,8 +157,9 @@ class TestOneEigendecomposition:
         report = spindle_number(space)
         assert eigen_calls == [("eigh", (n, n))]
         assert report.method_exact == report.method_numeric
+        w = np.linalg.eigvalsh(-1j * canonical_element(family))
         eigen_calls.clear()
-        method_exact(family)
+        method_exact(family, w)
         assert eigen_calls == []
 
     @pytest.mark.parametrize("tag", sorted(FAMILY_TAGS))

@@ -62,10 +62,10 @@ def constructions(monkeypatch):
 def test_report_path_builds_no_view_angles(constructions):
     space = build_space(SpaceFamily.make("AI", 49, 51))
     report = spindle_number(space)
-    # method_exact's search, one per n <= lambda; the stored views built
-    # about 15*lambda more.
+    # method_exact's one question, at t = D*pi; a search built one per
+    # n <= lambda, and the stored views about 15*lambda more.
     assert report.lambda_ == 100
-    assert 0 < len(constructions) <= report.lambda_
+    assert 0 < len(constructions) <= 1
 
     constructions.clear()
     report.to_json_dict()

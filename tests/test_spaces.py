@@ -18,6 +18,7 @@ from spindles.spaces import (
     stated_membership,
     sweep_families,
 )
+from spindles.spindle import _rational_phases
 from test_linalg import subspace_rank
 
 
@@ -241,31 +242,36 @@ class TestIsotropyContains:
             )
 
 
+def canonical_phases(family):
+    return _rational_phases(np.linalg.eigvalsh(-1j * canonical_element(family)))
+
+
 class TestStatedMembership:
     def test_ai_lattice(self):
         family = SpaceFamily.make("AI", 1, 5)
+        phases = canonical_phases(family)
         hits = [
-            n for n in range(0, 25) if stated_membership(family, RationalAngle(n))
+            n for n in range(0, 25) if stated_membership(family, phases, RationalAngle(n))
         ]
         assert hits == [0, 6, 12, 18, 24]
 
     def test_bdi_split_parity(self):
         odd = SpaceFamily.make("BDI_split", 3)
         even = SpaceFamily.make("BDI_split", 4)
-        assert [n for n in range(9) if stated_membership(odd, RationalAngle(n))] == [0, 4, 8]
-        assert [n for n in range(9) if stated_membership(even, RationalAngle(n))] == [
-            0,
-            2,
-            4,
-            6,
-            8,
-        ]
+        odd_phases, even_phases = canonical_phases(odd), canonical_phases(even)
+        assert [
+            n for n in range(9) if stated_membership(odd, odd_phases, RationalAngle(n))
+        ] == [0, 4, 8]
+        assert [
+            n for n in range(9) if stated_membership(even, even_phases, RationalAngle(n))
+        ] == [0, 2, 4, 6, 8]
 
     def test_non_integer_times_rejected_for_quotients(self):
         family = SpaceFamily.make("CI", 2)
-        assert not stated_membership(family, RationalAngle(1, 2))
-        assert not stated_membership(family, RationalAngle(1))
-        assert stated_membership(family, RationalAngle(2))
+        phases = canonical_phases(family)
+        assert not stated_membership(family, phases, RationalAngle(1, 2))
+        assert not stated_membership(family, phases, RationalAngle(1))
+        assert stated_membership(family, phases, RationalAngle(2))
 
 
 class TestCenterAndCatalog:

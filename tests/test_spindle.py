@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spindles import spaces
 from spindles.errors import (
     MethodDisagreementError,
     NotCanonicalError,
@@ -61,13 +63,20 @@ class TestClosedForm:
                 assert got == (p + q) // math.gcd(p, q)
 
 
+def canonical_w(family):
+    """The eigenvalues of -i*xi at the canonical element, method_exact's input."""
+    return np.linalg.eigvalsh(-1j * canonical_element(family))
+
+
 class TestMethods:
     def test_exact_search_ai15(self):
-        assert method_exact(SpaceFamily.make("AI", 1, 5)) == 6
+        family = SpaceFamily.make("AI", 1, 5)
+        assert method_exact(family, canonical_w(family)) == 6
 
     def test_exact_includes_cover(self):
-        assert method_exact(SpaceFamily.make("GRP_bd", 4)) == 2
-        assert method_exact(SpaceFamily.make("GRP_d", 2)) == 4
+        grp_bd, grp_d = SpaceFamily.make("GRP_bd", 4), SpaceFamily.make("GRP_d", 2)
+        assert method_exact(grp_bd, canonical_w(grp_bd)) == 2
+        assert method_exact(grp_d, canonical_w(grp_d)) == 4
 
     def test_numeric_matches_exact_samples(self):
         for tag, params in [
@@ -83,17 +92,28 @@ class TestMethods:
             family = SpaceFamily.make(tag, *params)
             space = build_space(family)
             xi = canonical_element(family)
-            assert method_numeric(space, xi) == method_exact(family)
+            assert method_numeric(space, xi) == method_exact(family, canonical_w(family))
 
-    def test_numeric_detects_shorter_return(self):
-        # a canonical element that is not conjugate to the catalog one:
-        # its geodesic closes after one knot step, the published condition
-        # still predicts the catalog value, and the cross-check trips.
+    def test_numeric_detects_shorter_return(self, monkeypatch):
+        # a canonical element that is not conjugate to the catalog one: its
+        # geodesic closes after one knot step, and both routes see it.
         family = SpaceFamily.make("AI", 1, 3)
         space = build_space(family)
         other = 1j * np.diag([0.0, 1.0, -1.0, 0.0])
         assert method_numeric(space, other) == 1
-        assert method_exact(family) == 4
+        assert method_exact(family, np.linalg.eigvalsh(-1j * other)) == 1
+        report = spindle_number(space, other)
+        assert report.lambda_ == report.method_exact == report.method_numeric == 1
+        # A predicate that refuses exp(pi*xi) moves the numeric return to 2,
+        # and the cross-check trips.
+        g1 = exp_generic(other, math.pi)
+        spec = spaces._FAMILIES["AI"]
+
+        def mutant(g, tol, p, q):
+            return float(np.max(np.abs(g - g1))) > tol and spec.isotropy(g, tol, p, q)
+
+        monkeypatch.setitem(spaces._FAMILIES, "AI", dataclasses.replace(spec, isotropy=mutant))
+        assert method_numeric(space, other) == 2
         with pytest.raises(MethodDisagreementError):
             spindle_number(space, other)
 
