@@ -20,44 +20,39 @@ by left and right translation, the involution swapping the factors):
     GRP_d      Spin(2n)                 orbit SO(2n)/U(n)
 
 Every fact about a family lives in its FamilySpec record in the _FAMILIES
-table, in catalog order: parameter shape and lower bound, ambient size,
-the algebra (basis, dimension, root rule, projector), involution and the
-dimension of its fixed subalgebra k, names, closed-form tag, canonical
-element, isotropy predicate, table lambda, center, cover multiplier and
-whether K is the identity component of sigma's fixed group. FAMILY_TAGS
-and PQ_FAMILIES are read off the table, and the public functions below
-look a family up there; adding a family is one new record.
+table, in catalog order. FAMILY_TAGS and PQ_FAMILIES are read off the
+table, and the public functions below look a family up there; adding a
+family is one new record.
 
-build_space does O(N^2) work and builds no basis: dim g and dim k come
-from the formulas, and tangency is tested with the algebra's closed-form
-orthogonal projector. The dim g x dim g data (the basis and the involution
-in its coordinates) is built on first use and kept on the SpaceInstance.
-Its readers are to_coords/from_coords, the d x d route of the spindle
-module (ad_matrix and its callers) and verify's structural checks;
-spindle_number, and so `table`, `analyze` and `profile`, read none of it.
-Each algebra describes its basis as index tables, groups of (element, row,
-col, value) arrays built from np.triu_indices, and one scatter fills the
-(dim g, N, N) tensor; no Python code runs per basis element.
-`table --cap 30` (2,095 spaces, N up to 120) takes about 10 s and 40 MB
-on a 2-vCPU host with one BLAS thread.
+build_space does O(1) work: dimensions come from the formulas, and the
+basis data is built on first use (see SpaceInstance). `table --cap 30`
+(2,095 spaces, N up to 120) takes 4.2 s and 37 MB on a 2-vCPU host with
+one BLAS thread.
 
 Lie algebras are realized as anti-Hermitian complex matrices; compact
 Sp(n) sits inside U(2n) via the standard J_n = [[0,-I_n],[I_n,0]]
-embedding. The group families are realized on a single copy of the
-group's algebra: the g x g swap structure is never materialized, and the
-geodesic membership question collapses to the condition g^2 = I for
-g = exp(t*xi) (the two exponentials exp(+-t*xi) commute). Each group
-family also carries an auxiliary matrix involution so that the generic
-Cartan-split machinery applies; its k/p multiplicities then describe the
-auxiliary pair, while lambda, knots and profiles are the group's own.
-Spin groups are never constructed: spindle data is computed in SO(n)
-and scaled by cover_multiplier = 2.
+embedding. Every sigma is M op(X) M* for a signed permutation M (I, J or
+a signature) and op the identity or entrywise conjugation, so it is
+applied as conj, block swaps or a sign flip, and no N x N matrix is built.
+The group families are realized on a single copy of the group's algebra:
+the g x g swap structure is never materialized, and the geodesic
+membership question collapses to the condition g^2 = I for g = exp(t*xi)
+(the two exponentials exp(+-t*xi) commute). Each group family takes the
+matrix realization of an auxiliary pair (GRP_a, GRP_c and GRP_d the
+records of AI, CI and BDI_split; GRP_bd states BDI_rank1(1, n-1)) so that
+the generic Cartan-split machinery applies. lambda and the knots are the
+group's own; the k/p multiplicities, orbit dimension and slice profile
+are the pair's, half the group's own (`analyze GRP_a 1 1` prints orbit=1
+for S^2). Correcting them changes the group rows that the benchmark's
+expected output records, so it waits for a change to the benchmark.
+Spin groups are never constructed: spindle data is computed in SO(n) and
+scaled by cover_multiplier = 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -101,8 +96,9 @@ class FamilySpec:
     dim_g: Callable[[int], int]
     roots: Callable[[np.ndarray], np.ndarray]  # root rule, from eig(-i*xi)
     project: Callable[[np.ndarray], np.ndarray]  # orthogonal projector onto g
-    sigma_conj: bool  # sigma(X) = M @ op(X) @ M*, op conjugating the entries
-    sigma_matrix: Callable[..., np.ndarray]  # M
+    # The involution, a map (x, *params) on a (..., N, N) stack into a new
+    # array, built from conj, _j_conjugate and _sign_flip: no N x N matrix.
+    sigma: Callable[..., np.ndarray]
     k_dim: Callable[..., int]  # dim of the fixed subalgebra k of sigma
     space_name: Callable[..., str]
     orbit_name: Callable[..., str]
@@ -116,10 +112,6 @@ class FamilySpec:
     identity_component: bool = False
 
 
-def _eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
 def _j_matrix(n: int) -> np.ndarray:
     """J_n = [[0, -I_n], [I_n, 0]], the complex/quaternionic structure."""
     j = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -129,16 +121,21 @@ def _j_matrix(n: int) -> np.ndarray:
 
 
 def _times_j(x: np.ndarray) -> np.ndarray:
-    """x @ J_n = [x_2, -x_1] for the column halves x_1, x_2 of x. J is a
-    signed permutation, so this block swap is the product to the bit."""
-    n = x.shape[1] // 2
-    return np.concatenate((x[:, n:], -x[:, :n]), axis=1)
+    """x @ J_n = [x_2, -x_1] for the column halves x_1, x_2 of x (last two
+    axes). J is a signed permutation, so this block swap is the product to the bit."""
+    n = x.shape[-1] // 2
+    return np.concatenate((x[..., n:], -x[..., :n]), axis=-1)
 
 
 def _j_times(x: np.ndarray) -> np.ndarray:
-    """J_n @ x = [-x_2; x_1] for the row halves x_1, x_2 of x, to the bit."""
-    n = x.shape[0] // 2
-    return np.concatenate((-x[n:], x[:n]))
+    """J_n @ x = [-x_2; x_1] for the row halves x_1, x_2 of x (last two axes), to the bit."""
+    n = x.shape[-2] // 2
+    return np.concatenate((-x[..., n:, :], x[..., :n, :]), axis=-2)
+
+
+def _j_conjugate(x: np.ndarray) -> np.ndarray:
+    """J x J* = -J x J, J of the size of x, on the last two axes."""
+    return -_j_times(_times_j(x))
 
 
 def _signs(*sizes: int) -> np.ndarray:
@@ -148,6 +145,12 @@ def _signs(*sizes: int) -> np.ndarray:
 
 def _signature(*sizes: int) -> np.ndarray:
     return np.diag(_signs(*sizes)).astype(complex)
+
+
+def _sign_flip(x: np.ndarray, *sizes: int) -> np.ndarray:
+    """S x S for S = diag(_signs(*sizes)), entrywise on the last two axes."""
+    s = _signs(*sizes)
+    return x * (s[:, None] * s)
 
 
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -376,11 +379,11 @@ def _spin_center(n: int) -> tuple:
     return 4, f"center of Spin({n}) for even n has order 4"
 
 
-_FAMILIES = {
+_PAIRS = {
     "AI": FamilySpec(
         pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q,
         **_SU,
-        sigma_conj=True, sigma_matrix=lambda p, q: _eye(p + q),
+        sigma=lambda x, p, q: x.conj(),
         k_dim=lambda p, q: _so_dim(p + q),  # so(p+q)
         space_name=lambda p, q: f"SU({p + q})/SO({p + q})",
         orbit_name=lambda p, q: f"SO({p + q})/S(O({p})xO({q}))",
@@ -394,7 +397,7 @@ _FAMILIES = {
     "AII": FamilySpec(
         pq=True, lower_bound=2, ambient_dim=lambda p, q: 2 * (p + q),
         **_SU,
-        sigma_conj=True, sigma_matrix=lambda p, q: _j_matrix(p + q),
+        sigma=lambda x, p, q: _j_conjugate(x.conj()),
         k_dim=lambda p, q: _sp_dim(2 * (p + q)),  # sp(p+q)
         space_name=lambda p, q: f"SU({2 * (p + q)})/Sp({p + q})",
         orbit_name=lambda p, q: f"Sp({p + q})/Sp({p})xSp({q})",
@@ -404,7 +407,7 @@ _FAMILIES = {
     "AIII": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
         **_SU,
-        sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
+        sigma=lambda x, n: _sign_flip(x, n, n),
         k_dim=lambda n: 2 * n * n - 1,  # s(u(n)+u(n))
         space_name=lambda n: f"SU({2 * n})/S(U({n})xU({n}))",
         orbit_name=lambda n: f"U({n})",
@@ -416,7 +419,7 @@ _FAMILIES = {
         # p + q = 2 would give the abelian SO(2).
         pq=True, lower_bound=3, ambient_dim=lambda p, q: p + q,
         **_SO,
-        sigma_conj=False, sigma_matrix=_signature,
+        sigma=_sign_flip,
         k_dim=lambda p, q: _so_dim(p) + _so_dim(q),  # so(p)+so(q)
         space_name=lambda p, q: f"SO({p + q})/SO({p})xSO({q})",
         orbit_name=lambda p, q: f"(S^{p - 1}xS^{q - 1})/Z2",
@@ -427,7 +430,7 @@ _FAMILIES = {
         # n = 1 would give the abelian SO(2).
         pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n,
         **_SO,
-        sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
+        sigma=lambda x, n: _sign_flip(x, n, n),
         k_dim=lambda n: 2 * _so_dim(n),  # so(n)+so(n)
         space_name=lambda n: f"SO({2 * n})/SO({n})xSO({n})",
         orbit_name=lambda n: f"SO({n})",
@@ -438,7 +441,7 @@ _FAMILIES = {
     "DIII": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n,
         **_SO,
-        sigma_conj=False, sigma_matrix=lambda n: _j_matrix(2 * n),
+        sigma=lambda x, n: _j_conjugate(x),
         k_dim=lambda n: 4 * n * n,  # u(2n)
         space_name=lambda n: f"SO({4 * n})/U({2 * n})",
         orbit_name=lambda n: f"U({2 * n})/Sp({n})",
@@ -450,7 +453,7 @@ _FAMILIES = {
     "CI": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
         **_SP,
-        sigma_conj=False, sigma_matrix=_j_matrix,
+        sigma=lambda x, n: _j_conjugate(x),
         k_dim=lambda n: n * n,  # u(n)
         space_name=lambda n: f"Sp({n})/U({n})",
         orbit_name=lambda n: f"U({n})/SO({n})",
@@ -461,57 +464,54 @@ _FAMILIES = {
     "CII": FamilySpec(
         pq=False, lower_bound=1, ambient_dim=lambda n: 4 * n,
         **_SP,
-        sigma_conj=False, sigma_matrix=lambda n: _signature(n, n, n, n),
+        sigma=lambda x, n: _sign_flip(x, n, n, n, n),
         k_dim=lambda n: 2 * _sp_dim(2 * n),  # sp(n)+sp(n)
         space_name=lambda n: f"Sp({2 * n})/Sp({n})xSp({n})",
         orbit_name=lambda n: f"Sp({n})",
         closed_form="half-angle", canonical=lambda n: _half_swap(n, 4),
         isotropy=_in_sp_times_sp, table_lambda=lambda n: 2,
     ),
-    "GRP_a": FamilySpec(
-        pq=True, lower_bound=2, ambient_dim=lambda p, q: p + q,
-        **_SU,
-        sigma_conj=True, sigma_matrix=lambda p, q: _eye(p + q),
-        k_dim=lambda p, q: _so_dim(p + q),  # so(p+q)
+}
+
+
+def _group(pair: FamilySpec, **own) -> FamilySpec:
+    """The group family on the matrix realization of `pair`, with the
+    membership test g^2 = I. Its K is a whole fixed group, so
+    identity_component is False (BDI_split's True would change GRP_d's lambda)."""
+    return replace(pair, isotropy=_squares_to_one, identity_component=False, **own)
+
+
+_FAMILIES = {
+    **_PAIRS,
+    "GRP_a": _group(
+        _PAIRS["AI"], table_lambda=_phase_lambda,
         space_name=lambda p, q: f"SU({p + q})",
         orbit_name=lambda p, q: f"SU({p + q})/S(U({p})xU({q}))",
-        closed_form="diagonal-phase", canonical=_phase_element,
-        isotropy=_squares_to_one, table_lambda=_phase_lambda,
         center=lambda p, q: (p + q, f"center of the simply connected SU({p + q}) is Z_{p + q}"),
     ),
     "GRP_bd": FamilySpec(
-        # n <= 2 would give the abelian SO(2) or less.
+        # n <= 2 would give the abelian SO(2) or less. The pair is
+        # BDI_rank1(1, n - 1), stated here for its single parameter.
         pq=False, lower_bound=3, ambient_dim=lambda n: n,
         **_SO,
-        sigma_conj=False, sigma_matrix=lambda n: _signature(1, n - 1),
+        sigma=lambda x, n: _sign_flip(x, 1, n - 1),
         k_dim=lambda n: _so_dim(n - 1),  # so(n-1)
         space_name=lambda n: f"Spin({n})",
         orbit_name=lambda n: f"SO({n})/(SO(2)xSO({n - 2}))",
         closed_form="rotation-block", canonical=lambda n: _rotation(1, n),
         isotropy=_squares_to_one, table_lambda=lambda n: 2, center=_spin_center, cover=2,
     ),
-    "GRP_c": FamilySpec(
-        pq=False, lower_bound=1, ambient_dim=lambda n: 2 * n,
-        **_SP,
-        sigma_conj=False, sigma_matrix=_j_matrix,
-        k_dim=lambda n: n * n,  # u(n)
+    "GRP_c": _group(
+        _PAIRS["CI"], table_lambda=lambda n: 2,
         space_name=lambda n: f"Sp({n})",
         orbit_name=lambda n: f"Sp({n})/U({n})",
-        closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
-        isotropy=_squares_to_one, table_lambda=lambda n: 2,
         center=lambda n: (2, f"center of Sp({n}) is Z_2"),
     ),
-    "GRP_d": FamilySpec(
-        # n = 1 would give the abelian SO(2).
-        pq=False, lower_bound=2, ambient_dim=lambda n: 2 * n,
-        **_SO,
-        sigma_conj=False, sigma_matrix=lambda n: _signature(n, n),
-        k_dim=lambda n: 2 * _so_dim(n),  # so(n)+so(n)
+    "GRP_d": _group(
+        _PAIRS["BDI_split"], table_lambda=lambda n: 4, cover=2,
         space_name=lambda n: f"Spin({2 * n})",
         orbit_name=lambda n: f"SO({2 * n})/U({n})",
-        closed_form="half-angle", canonical=lambda n: 0.5 * _j_matrix(n),
-        isotropy=_squares_to_one, table_lambda=lambda n: 4,
-        center=lambda n: _spin_center(2 * n), cover=2,
+        center=lambda n: _spin_center(2 * n),
     ),
 }
 
@@ -619,8 +619,8 @@ class SpaceFamily:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class SpaceInstance:
-    """A realized symmetric space: ambient size, the involution, dimension
-    split, and group-theoretic side data.
+    """A realized symmetric space: ambient size, dimension split and
+    group-theoretic side data, with the family's involution as _sigma.
 
     The basis data is built on first use, at most once per instance:
     basis_tensor is the orthonormal basis of g as a (dim_g, N, N) array,
@@ -629,13 +629,11 @@ class SpaceInstance:
     basis_vecs @ mat_to_vec(X); and sigma_coords is the involution in those
     coordinates. Their readers are to_coords, from_coords, the d x d route
     of the spindle module (ad_matrix and its callers) and verify's
-    structural checks. dim_g, k_dim, p_dim and the tangency test need none
-    of it."""
+    structural checks. dim_g, k_dim, p_dim, the tangency test and
+    spindle_number need none of it."""
 
     family: SpaceFamily
     ambient_dim: int
-    sigma_conj: bool
-    sigma_matrix: np.ndarray
     k_dim: int
     p_dim: int
     center_order: int | None
@@ -681,8 +679,10 @@ class SpaceInstance:
     def _sigma(self, m: np.ndarray) -> np.ndarray:
         """sigma on a matrix, or on each matrix of a (..., N, N) stack,
         without the checks of apply_sigma."""
-        core = m.conj() if self.sigma_conj else m
-        return self.sigma_matrix @ core @ self.sigma_matrix.conj().T
+        out = np.ascontiguousarray(self.family._spec.sigma(m, *self.family.params))
+        # C order and +0.0 zeros, as the dense product gave: sigma_coords' BLAS and eigh see both.
+        out += 0.0
+        return out
 
     def apply_sigma(self, x) -> np.ndarray:
         return self._sigma(self._matrix(x))
@@ -718,9 +718,9 @@ class SpaceInstance:
 def build_space(family: SpaceFamily) -> SpaceInstance:
     """Assemble the matrix realization of a family member.
 
-    The work is O(N^2): the involution's N x N matrix and the dimensions
-    from the family's formulas. The basis and the involution in
-    coordinates are left to the first caller that reads them."""
+    The work is O(1): the dimensions and the center from the family's
+    formulas. The basis and the involution in coordinates are left to the
+    first caller that reads them."""
     spec = family._spec
     n_amb = family.ambient_dim
     k_dim = spec.k_dim(*family.params)
@@ -728,8 +728,6 @@ def build_space(family: SpaceFamily) -> SpaceInstance:
     return SpaceInstance(
         family=family,
         ambient_dim=n_amb,
-        sigma_conj=spec.sigma_conj,
-        sigma_matrix=spec.sigma_matrix(*family.params),
         k_dim=k_dim,
         p_dim=spec.dim_g(n_amb) - k_dim,
         center_order=order,
@@ -739,12 +737,8 @@ def build_space(family: SpaceFamily) -> SpaceInstance:
 
 
 def canonical_element(family: SpaceFamily) -> np.ndarray:
-    """The distinguished tangent element of extrinsically symmetric type.
-
-    Diagonal phase families get i*diag(a I_p, b I_q) with a = -q/(p+q),
-    b = p/(p+q) (duplicated across both blocks for AII); the rest are the
-    standard half-swap, rank-one rotation, or J-block matrices.
-    """
+    """The distinguished tangent element of extrinsically symmetric type,
+    from FamilySpec.canonical (_phase_element, _half_swap, _rotation or J)."""
     return family._spec.canonical(*family.params)
 
 

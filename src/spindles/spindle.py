@@ -43,6 +43,7 @@ from .errors import (
     MethodDisagreementError,
     NotCanonicalError,
     NotInTangentSpaceError,
+    NotUnitaryError,
     ParameterError,
     RationalizationError,
     SpectrumBucketingError,
@@ -54,6 +55,7 @@ from .linalg import (
     _exp_eigh,
     ensure_square,
     exp_generic,
+    is_unitary,
     mat_to_vec,
     rationalize,
     resolve_eps,
@@ -63,7 +65,6 @@ from .spaces import (
     SpaceInstance,
     _shared_json,
     canonical_element,
-    isotropy_contains,
     stated_membership,
 )
 
@@ -507,7 +508,9 @@ def method_numeric(space: SpaceInstance, xi, eps: float | None = None) -> int:
     The same holds for the group families' predicate g^(2n) = I. The scan
     therefore tests only the divisors of n_max, in ascending order, each
     by its exponential and the isotropy predicate."""
-    return _return_scan(space, *_eigh_anti_hermitian(xi, eps, "method_numeric"), eps)
+    tol = resolve_eps(eps)
+    w, v = _eigh_anti_hermitian(xi, tol, "method_numeric")
+    return _return_scan(space, w, v, _exp_eigh(w, v, math.pi), tol)
 
 
 def _divisors(n: int) -> list:
@@ -543,19 +546,21 @@ def _phase_lcm(w: np.ndarray) -> int:
     return math.lcm(*(f.denominator for f, _ in _rational_phases(w)))
 
 
-def _return_scan(space: SpaceInstance, w: np.ndarray, v: np.ndarray, eps: float | None) -> int:
-    """method_numeric's scan, from the eigendecomposition xi = i v diag(w) v*.
-
-    {n : exp(n*pi*xi) in K} is a subgroup of Z that contains n_max = 2*D
-    (D the least common denominator of the phases w), so its least
-    positive element divides n_max: only the divisors are exponentiated
-    and tested, in ascending order."""
+def _return_scan(space: SpaceInstance, w, v, g, tol: float) -> int:
+    """method_numeric's divisor scan, from the eigendecomposition
+    xi = i v diag(w) v* and its candidate n = 1, g = exp(pi*xi). Each
+    candidate is unitary if v is, so v is tested once and the family's
+    predicate is asked directly."""
+    family = space.family
     n_max = 2 * _phase_lcm(w)
+    if not is_unitary(space._matrix(v), tol):
+        raise NotUnitaryError(f"{family}: the return scan requires a unitary eigenbasis")
     for n in _divisors(n_max):
-        if isotropy_contains(space, _exp_eigh(w, v, n * math.pi), eps):
+        candidate = g if n == 1 else _exp_eigh(w, v, n * math.pi)
+        if family._spec.isotropy(candidate, tol, *family.params):
             return n * space.cover_multiplier
     raise MembershipSearchError(
-        f"{space.family}: no return to the isotropy group within n_max = {n_max} "
+        f"{family}: no return to the isotropy group within n_max = {n_max} "
         "(predicate inconsistent with the element)"
     )
 
@@ -762,14 +767,14 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
         )
 
     exact = method_exact(space.family, w)
-    numeric = _return_scan(space, w, v, tol)
+    g = _exp_eigh(w, v, math.pi)
+    numeric = _return_scan(space, w, v, g, tol)
     if exact != numeric:
         raise MethodDisagreementError(
             f"{space.family}: exact method gives {exact}, numeric scan gives {numeric}"
         )
     lam = exact
 
-    g = _exp_eigh(w, v, math.pi)
     checks = _report_checks(space, g, spec, lam, ext_sym, exact, numeric, tol)
     return SpindleReport(
         family=space.family,

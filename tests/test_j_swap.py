@@ -1,15 +1,22 @@
-"""Products with J_n = [[0, -I], [I, 0]] as block swaps, and commutation
-with a signature as an elementwise product.
+"""Products with J_n = [[0, -I], [I, 0]] as block swaps, commutation with
+a signature as an elementwise product, and the involution sigma as a map.
 
 J is a signed permutation, so x @ J and J @ x are x with its halves
 swapped and one of them negated, exactly. The isotropy predicates of AII,
 CII, DIII and CI and the sp(n) projector use the swaps instead of building
 J and multiplying. Likewise g S - S g for S = diag(s), s a vector of
 signs, has the entries g_ij (s_j - s_i), and the predicates of AIII, BDI
-and CII read them so instead of building S. The oracles below are the
-matrix forms they replaced, kept verbatim apart from names; the new forms
-must give the same arrays and the same decisions on every return-scan
-candidate exp(n*pi*xi) of the cap-8 families.
+and CII read them so instead of building S. Each family's sigma was
+M @ op(X) @ M* for a signed permutation M (the identity, J or a
+signature) and op the identity or entrywise conjugation; it is now a map
+built from conj, the J swaps and a sign flip, with no N x N matrix. The
+oracles below are the matrix forms they replaced, kept verbatim apart
+from names; the new forms must give the same arrays (for sigma, up to the
+sign of zeros, which _sigma makes +0.0 as the product did) and the same
+decisions on every return-scan candidate exp(n*pi*xi) of the cap-8
+families. The group families GRP_a, GRP_c and GRP_d take their matrix
+realization from AI, CI and BDI_split, and GRP_bd(n) states that of
+BDI_rank1(1, n - 1).
 """
 
 import math
@@ -19,6 +26,7 @@ import pytest
 
 from spindles.linalg import _eigh_anti_hermitian, _exp_eigh, is_real_matrix
 from spindles.spaces import (
+    _FAMILIES,
     SpaceFamily,
     _block_diag,
     _commutes_diag,
@@ -53,6 +61,55 @@ def test_swaps_equal_products_byte_for_byte(size):
     j = _j_matrix(size // 2)
     assert _times_j(x).tobytes() == (x @ j).tobytes()
     assert _j_times(x).tobytes() == (j @ x).tobytes()
+
+
+@pytest.mark.parametrize("size", range(2, 21, 2))
+def test_swaps_equal_products_on_stacks(size):
+    x = np.stack([random_complex(size, seed) for seed in range(3)])
+    j = _j_matrix(size // 2)
+    assert _times_j(x).tobytes() == (x @ j).tobytes()
+    assert _j_times(x).tobytes() == (j @ x).tobytes()
+
+
+# The involution as it was stated: (sigma_conj, sigma_matrix) per family.
+ORACLE_SIGMA = {
+    "AI": (True, lambda p, q: np.eye(p + q, dtype=complex)),
+    "AII": (True, lambda p, q: _j_matrix(p + q)),
+    "AIII": (False, lambda n: _signature(n, n)),
+    "BDI_rank1": (False, _signature),
+    "BDI_split": (False, lambda n: _signature(n, n)),
+    "DIII": (False, lambda n: _j_matrix(2 * n)),
+    "CI": (False, _j_matrix),
+    "CII": (False, lambda n: _signature(n, n, n, n)),
+    "GRP_a": (True, lambda p, q: np.eye(p + q, dtype=complex)),
+    "GRP_bd": (False, lambda n: _signature(1, n - 1)),
+    "GRP_c": (False, _j_matrix),
+    "GRP_d": (False, lambda n: _signature(n, n)),
+}
+
+
+def oracle_sigma(family, m):
+    conj, matrix = ORACLE_SIGMA[family.tag]
+    sigma_matrix = matrix(*family.params)
+    core = m.conj() if conj else m
+    return sigma_matrix @ core @ sigma_matrix.conj().T
+
+
+def random_stack(size, seed, depth=3):
+    return np.stack([random_complex(size, seed + i) for i in range(depth)])
+
+
+@pytest.mark.parametrize("family", list(sweep_families(8)), ids=str)
+def test_sigma_map_equals_dense_product(family):
+    space = build_space(family)
+    size = space.ambient_dim
+    single = random_complex(size, 1)
+    fortran = np.asfortranarray(single)
+    for x in (random_stack(size, 2), space.basis_tensor, single, fortran):
+        got = space._sigma(x)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == (oracle_sigma(family, x) + 0.0).tobytes()
+    assert space.apply_sigma(fortran).tobytes() == space._sigma(single).tobytes()
 
 
 def oracle_commutes(a, b, eps):
@@ -184,3 +241,33 @@ def test_sp_project_matches_block_form(family):
     xs = scan_candidates(family) + [canonical_element(family), random_complex(size, size)]
     for x in xs:
         assert _sp_project(x).tobytes() == oracle_sp_project(x).tobytes()
+
+
+# Each group family and the pair whose matrix realization it has: GRP_a,
+# GRP_c and GRP_d take the records of AI, CI and BDI_split, and GRP_bd(n)
+# states that of BDI_rank1(1, n - 1).
+GROUP_PAIRS = [
+    (f, SpaceFamily.make({"GRP_a": "AI", "GRP_c": "CI", "GRP_d": "BDI_split"}[f.tag], *f.params))
+    for f in families("GRP_a", "GRP_c", "GRP_d")
+] + [(SpaceFamily.make("GRP_bd", n), SpaceFamily.make("BDI_rank1", 1, n - 1)) for n in range(3, 13)]
+
+
+@pytest.mark.parametrize("group, pair", GROUP_PAIRS, ids=str)
+def test_group_realization_is_its_pairs(group, pair):
+    spec, pair_spec = group._spec, pair._spec
+    assert group.ambient_dim == pair.ambient_dim
+    assert spec.k_dim(*group.params) == pair_spec.k_dim(*pair.params)
+    for name in ("basis", "dim_g", "roots", "project"):
+        assert getattr(spec, name) is getattr(pair_spec, name)
+    assert group.closed_form == pair.closed_form
+    assert canonical_element(group).tobytes() == canonical_element(pair).tobytes()
+    x = random_stack(group.ambient_dim, 5)
+    assert build_space(group)._sigma(x).tobytes() == build_space(pair)._sigma(x).tobytes()
+
+
+def test_groups_are_not_identity_components():
+    # K is the whole fixed group of the swap; BDI_split's True would change
+    # GRP_d's lambda through stated_membership.
+    groups = [tag for tag in _FAMILIES if tag.startswith("GRP_")]
+    assert groups == ["GRP_a", "GRP_bd", "GRP_c", "GRP_d"]
+    assert not any(_FAMILIES[tag].identity_component for tag in groups)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spindles import linalg
+from spindles import linalg, spindle
 from spindles.errors import (
     DegenerateElementError,
     FormIdentityError,
@@ -162,6 +162,24 @@ class TestOneEigendecomposition:
         method_exact(family, w)
         assert eigen_calls == []
 
+    def test_one_exponential_per_divisor(self, monkeypatch):
+        # AI(199,201) has lambda 400 and n_max 800: the scan tests the 17
+        # divisors of 800 up to 400, and its n = 1 candidate is the report's
+        # exp(pi*xi).
+        calls = []
+        real = spindle._exp_eigh
+
+        def counted(w, v, t):
+            calls.append(t)
+            return real(w, v, t)
+
+        monkeypatch.setattr(spindle, "_exp_eigh", counted)
+        monkeypatch.setattr(linalg, "_exp_eigh", counted)
+        report = spindle_number(build_space(SpaceFamily.make("AI", 199, 201)))
+        assert report.lambda_ == 400
+        divisors = (1, 2, 4, 5, 8, 10, 16, 20, 25, 32, 40, 50, 80, 100, 160, 200, 400)
+        assert calls == [n * math.pi for n in divisors]
+
     @pytest.mark.parametrize("tag", sorted(FAMILY_TAGS))
     def test_refuses_tangent_non_anti_hermitian(self, tag):
         # Off g by half the tangency bound along a Hermitian direction: the
@@ -227,8 +245,6 @@ class TestNormalizeRootRoute:
                     route(space, x, EPS)
 
     def test_only_rationalization_failures_become_irrational(self, monkeypatch):
-        from spindles import spindle
-
         def broken(*args):
             raise TypeError("a programming error")
 
@@ -273,18 +289,21 @@ class TestStructuredMany:
                 call()
 
     def test_one_rationalization_per_space(self, monkeypatch):
+        # Every rationalization, through whichever module binding, ends in
+        # one Fraction.limit_denominator call.
         from spindles import verification
 
         calls = []
-        real = linalg.rationalize
+        real = Fraction.limit_denominator
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(self, max_denominator=1000000):
+            calls.append(self)
+            return real(self, max_denominator)
 
-        monkeypatch.setattr(linalg, "rationalize", counted)
+        monkeypatch.setattr(Fraction, "limit_denominator", counted)
         space = build_space(SpaceFamily.make("AI", 2, 3))
         assert verification.exp_agreement_check(space, EPS).ok
         assert verification.isotropy_scan_check(space, EPS).ok
-        # One rationalization of each of the 5 diagonal entries per check.
-        assert len(calls) == 2 * space.ambient_dim
+        # One of each of the 5 diagonal entries per check, and one of each
+        # of the 2 phase clusters (-3/5 twice, 2/5 three times) in the scan.
+        assert len(calls) == 2 * space.ambient_dim + 2 == 12

@@ -27,7 +27,7 @@ from spindles import (
     sweep_families,
 )
 from spindles import spaces
-from spindles.errors import MembershipSearchError, RationalizationError
+from spindles.errors import MembershipSearchError, NotUnitaryError, RationalizationError
 from spindles.linalg import _eigh_anti_hermitian, _exp_eigh, rationalize
 from spindles.spindle import BUCKET_TOL, _bucket, _divisors, _phase_lcm, _return_scan
 
@@ -66,9 +66,13 @@ def k_conjugate(family, rng):
     return k @ canonical_element(family) @ k.conj().T
 
 
+def divisor_scan(space, w, v):
+    return _return_scan(space, w, v, _exp_eigh(w, v, math.pi), EPS)
+
+
 def assert_scans_agree(space, xi):
     w, v = _eigh_anti_hermitian(xi, EPS, "test")
-    assert _return_scan(space, w, v, EPS) == oracle_return_scan(space, w, v, EPS)
+    assert divisor_scan(space, w, v) == oracle_return_scan(space, w, v, EPS)
 
 
 @pytest.mark.parametrize("family", list(sweep_families(8)), ids=str)
@@ -118,9 +122,18 @@ def test_mutated_predicate_is_caught(monkeypatch):
 
     monkeypatch.setitem(spaces._FAMILIES, "AI", dataclasses.replace(spec, isotropy=mutant))
     assert oracle_return_scan(space, w, v, EPS) == 3
-    assert _return_scan(space, w, v, EPS) == 40
+    assert divisor_scan(space, w, v) == 40
     with pytest.raises(AssertionError):
         assert_scans_agree(space, canonical_element(family))
+
+
+def test_non_unitary_eigenbasis_is_refused():
+    # The scan certifies v once instead of every candidate exp(n*pi*xi).
+    family = SpaceFamily.make("AI", 1, 2)
+    space = build_space(family)
+    w, v = _eigh_anti_hermitian(canonical_element(family), EPS, "test")
+    with pytest.raises(NotUnitaryError, match=r"^AI\(1,2\): the return scan"):
+        divisor_scan(space, w, 1.01 * v)
 
 
 def test_close_phases_are_separate_clusters():
