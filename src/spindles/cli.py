@@ -39,7 +39,6 @@ from .spaces import (
     sweep_families,
 )
 from .spindle import (
-    AdSpectrum,
     classify_time,
     closed_form_lambda,
     jacobi_norm_sq,
@@ -56,29 +55,28 @@ def _fmt(x) -> str:
 
 def _checks_ok(report) -> bool:
     return all(v for v in report.checks.values() if v is not None) and (
-        report.lambda_ == closed_form_lambda(report.family)
+        report.lambda_ == closed_form_lambda(report.space.family)
     )
 
 
-def _row(space, report) -> dict:
+def _row(report) -> dict:
     return {
-        **catalog_entry(space),
+        **catalog_entry(report.space),
         "lambda": report.lambda_,
         "method_exact": report.method_exact,
         "method_numeric": report.method_numeric,
-        "frequencies": [float(nu) for nu in report.frequencies],
+        "frequencies": [float(nu) for nu in report.spectrum.frequencies],
         "extrinsically_symmetric": report.extrinsically_symmetric,
-        "orbit_dim": report.orbit_dim,
+        "orbit_dim": report.spectrum.orbit_dim,
         "checks_ok": _checks_ok(report),
     }
 
 
 def cmd_table(args) -> int:
-    rows = []
-    for family in sweep_families(args.cap):
-        space = build_space(family)
-        report = spindle_number(space, eps=args.eps)
-        rows.append(_row(space, report))
+    rows = [
+        _row(spindle_number(build_space(family), eps=args.eps))
+        for family in sweep_families(args.cap)
+    ]
 
     if args.csv:
         fields = "family p q space orbit lambda method_exact method_numeric checks_ok".split()
@@ -124,6 +122,7 @@ def cmd_analyze(args) -> int:
     family = _family_from_args(args)
     space = build_space(family)
     report = spindle_number(space, eps=args.eps)
+    spec = report.spectrum
 
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
@@ -132,12 +131,10 @@ def cmd_analyze(args) -> int:
     print(f"family    {family.label()}")
     print(f"space     {family.space_name()}")
     print(f"orbit     {family.orbit_name()}")
-    print(
-        f"dims      g={report.dim_g} k={report.dim_k} p={report.dim_p} orbit={report.orbit_dim}"
-    )
+    print(f"dims      g={space.dim_g} k={space.k_dim} p={space.p_dim} orbit={spec.orbit_dim}")
     freq_parts = [
         f"{_fmt(nu)} (k:{mk}, p:{mp})"
-        for nu, mk, mp in zip(report.frequencies, report.mult_k, report.mult_p)
+        for nu, mk, mp in zip(spec.frequencies, spec.mult_k, spec.mult_p)
     ]
     print(f"spectrum  {'; '.join(freq_parts)}")
     print(f"ext-sym   {'yes' if report.extrinsically_symmetric else 'no'}")
@@ -145,10 +142,10 @@ def cmd_analyze(args) -> int:
     print(f"length    {report.geodesic_length_over_norm} times |xi|")
     print(f"knots     {', '.join(str(t) for t in report.knot_times)}")
     print(f"centriole {', '.join(str(t) for t in report.centriole_times)}")
-    if report.center_order is not None:
-        print(f"center    order {report.center_order}")
-    if report.cover_multiplier != 1:
-        print(f"cover     multiplier {report.cover_multiplier}")
+    if space.center_order is not None:
+        print(f"center    order {space.center_order}")
+    if space.cover_multiplier != 1:
+        print(f"cover     multiplier {space.cover_multiplier}")
     for key in sorted(report.checks):
         value = report.checks[key]
         shown = "skipped" if value is None else ("ok" if value else "FAIL")
@@ -161,9 +158,8 @@ def cmd_profile(args) -> int:
     step = RationalAngle.parse(args.step)
     if step.fraction <= 0:
         raise SpindleError(f"--step must be positive, got {args.step}")
-    space = build_space(family)
-    report = spindle_number(space, eps=args.eps)
-    spec = AdSpectrum(report.frequencies, report.mult_k, report.mult_p)
+    report = spindle_number(build_space(family), eps=args.eps)
+    spec = report.spectrum
     comps = [1.0] * len(spec.positive_frequencies)
 
     rows = []

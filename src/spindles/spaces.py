@@ -25,9 +25,7 @@ table, and the public functions below look a family up there; adding a
 family is one new record.
 
 build_space does O(1) work: dimensions come from the formulas, and the
-basis data is built on first use (see SpaceInstance). `table --cap 30`
-(2,095 spaces, N up to 120) takes 4.2 s and 37 MB on a 2-vCPU host with
-one BLAS thread.
+basis data is built on first use (see SpaceInstance).
 
 Lie algebras are realized as anti-Hermitian complex matrices; compact
 Sp(n) sits inside U(2n) via the standard J_n = [[0,-I_n],[I_n,0]]
@@ -782,17 +780,17 @@ def sweep_families(cap: int) -> Iterator[SpaceFamily]:
                 yield SpaceFamily(tag, (n,))
 
 
-def _shared_json(source) -> dict:
-    """The keys every serialized row starts with, from a SpaceInstance or a
-    SpindleReport (both carry family, center_order and cover_multiplier)."""
-    family = source.family
+def _shared_json(space: SpaceInstance) -> dict:
+    """The keys every serialized row starts with: catalog_entry's and
+    SpindleReport.to_json_dict's, which passes its space."""
+    family = space.family
     return {
         "family": family.tag,
         "params": list(family.params),
         "space": family.space_name(),
         "orbit": family.orbit_name(),
-        "center_order": source.center_order,
-        "cover_multiplier": source.cover_multiplier,
+        "center_order": space.center_order,
+        "cover_multiplier": space.cover_multiplier,
     }
 
 

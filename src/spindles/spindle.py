@@ -121,22 +121,15 @@ class AdSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class CartanSplit:
-    """Orthonormal bases of k_plus, p_plus and the per-frequency pieces
-    k_nu, p_nu; matrices are stacked along the first axis."""
+    """The spectrum of ad(xi) with orthonormal bases of k_plus, p_plus and
+    the pieces k_nu, p_nu, one per positive frequency of spectrum;
+    matrices are stacked along the first axis."""
 
-    frequencies: tuple
+    spectrum: AdSpectrum
     k_plus: np.ndarray
     p_plus: np.ndarray
     k_nu: tuple
     p_nu: tuple
-
-    @property
-    def positive_frequencies(self) -> tuple:
-        return tuple(self.frequencies[1:])
-
-    @property
-    def positive_mult_p(self) -> tuple:
-        return tuple(b.shape[0] for b in self.p_nu)
 
 
 def _require_tangent(space: SpaceInstance, m: np.ndarray, eps: float | None) -> None:
@@ -385,7 +378,7 @@ def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSp
         p_nu.append(to_matrices(pc))
 
     return CartanSplit(
-        frequencies=spec.frequencies,
+        spectrum=spec,
         k_plus=to_matrices(k0),
         p_plus=to_matrices(p0),
         k_nu=tuple(k_nu),
@@ -444,14 +437,14 @@ def _sin_at(freq: float, t) -> float:
     return math.sin(freq * float(t))
 
 
-def slice_dimension(source, t, eps: float | None = None) -> int:
+def slice_dimension(spec: AdSpectrum, t, eps: float | None = None) -> int:
     """Dimension of the slice at parameter t: the sum of dim p_nu over
-    frequencies with sin(nu t) != 0. Accepts an AdSpectrum or a
-    CartanSplit; t may be a float or a RationalAngle."""
+    frequencies with sin(nu t) != 0; t may be a float or a RationalAngle.
+    A CartanSplit passes its spectrum."""
     t = _finite_time(t)
     tol = resolve_eps(eps)
     total = 0
-    for freq, mult in zip(source.positive_frequencies, source.positive_mult_p):
+    for freq, mult in zip(spec.positive_frequencies, spec.positive_mult_p):
         if isinstance(t, RationalAngle):
             k = round(freq)
             if abs(freq - k) <= BUCKET_TOL and k >= 1:
@@ -487,12 +480,12 @@ def closed_form_lambda(family: SpaceFamily) -> int:
     return family._spec.table_lambda(*family.params)
 
 
-def method_exact(family: SpaceFamily, w: np.ndarray) -> int:
-    """lambda, times the cover, from the eigenvalues w of -i*xi alone: n*w
-    is integral iff D divides n, D the lcm of the phase denominators, and
-    stated_membership adds at most a parity that 2*D meets."""
-    phases = _rational_phases(w)
-    d = math.lcm(*(f.denominator for f, _ in phases))
+def method_exact(family: SpaceFamily, phases) -> int:
+    """lambda, times the cover, from the eigenphases of xi alone, given as
+    _rational_phases gives them: n*w is integral iff D divides n, D the
+    lcm of the phase denominators, and stated_membership adds at most a
+    parity that 2*D meets."""
+    d = _phase_lcm(phases)
     n = d if stated_membership(family, phases, RationalAngle(d)) else 2 * d
     return n * family.cover_multiplier
 
@@ -507,10 +500,11 @@ def method_numeric(space: SpaceInstance, xi, eps: float | None = None) -> int:
     subgroup lambda*Z of Z; it contains n_max, so lambda divides n_max.
     The same holds for the group families' predicate g^(2n) = I. The scan
     therefore tests only the divisors of n_max, in ascending order, each
-    by its exponential and the isotropy predicate."""
+    by its exponential and the isotropy predicate. xi must lie in p."""
     tol = resolve_eps(eps)
     w, v = _eigh_anti_hermitian(xi, tol, "method_numeric")
-    return _return_scan(space, w, v, _exp_eigh(w, v, math.pi), tol)
+    _require_tangent(space, xi, tol)
+    return _return_scan(space, w, v, _exp_eigh(w, v, math.pi), _rational_phases(w), tol)
 
 
 def _divisors(n: int) -> list:
@@ -541,18 +535,19 @@ def _rational_phases(w: np.ndarray) -> list:
     return clusters
 
 
-def _phase_lcm(w: np.ndarray) -> int:
-    """Least common denominator of the eigenphases w as rationals."""
-    return math.lcm(*(f.denominator for f, _ in _rational_phases(w)))
+def _phase_lcm(phases) -> int:
+    """Least common denominator of phases, as _rational_phases gives them."""
+    return math.lcm(*(f.denominator for f, _ in phases))
 
 
-def _return_scan(space: SpaceInstance, w, v, g, tol: float) -> int:
+def _return_scan(space: SpaceInstance, w, v, g, phases, tol: float) -> int:
     """method_numeric's divisor scan, from the eigendecomposition
-    xi = i v diag(w) v* and its candidate n = 1, g = exp(pi*xi). Each
-    candidate is unitary if v is, so v is tested once and the family's
-    predicate is asked directly."""
+    xi = i v diag(w) v*, its candidate n = 1, g = exp(pi*xi), and the
+    rational eigenphases of w, which give n_max. Each candidate is unitary
+    if v is, so v is tested once and the family's predicate is asked
+    directly."""
     family = space.family
-    n_max = 2 * _phase_lcm(w)
+    n_max = 2 * _phase_lcm(phases)
     if not is_unitary(space._matrix(v), tol):
         raise NotUnitaryError(f"{family}: the return scan requires a unitary eigenbasis")
     for n in _divisors(n_max):
@@ -561,7 +556,7 @@ def _return_scan(space: SpaceInstance, w, v, g, tol: float) -> int:
             return n * space.cover_multiplier
     raise MembershipSearchError(
         f"{family}: no return to the isotropy group within n_max = {n_max} "
-        "(predicate inconsistent with the element)"
+        f"(predicate inconsistent with the element) at eps {tol:g}"
     )
 
 
@@ -625,24 +620,20 @@ def _twelfths_text(k: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SpindleReport:
-    """Everything the analysis of one (space, xi) decides. The knots,
-    centrioles, slice profile and length follow from lambda_, the
-    frequencies and mult_p, and are computed when read."""
+    """Everything the analysis of one (space, xi) decides. The dimensions,
+    center and cover are read from space, the frequencies and their k/p
+    multiplicities from spectrum. The knots, centrioles, slice profile and
+    length follow from lambda_ and spectrum, and are computed when read.
 
-    family: SpaceFamily
+    The report keeps its space alive. spindle_number builds no basis, so
+    that costs O(1) memory unless the caller has built the space's basis."""
+
+    space: SpaceInstance
+    spectrum: AdSpectrum
     lambda_: int
     method_exact: int
     method_numeric: int
-    frequencies: tuple
-    mult_k: tuple
-    mult_p: tuple
-    dim_g: int
-    dim_k: int
-    dim_p: int
-    orbit_dim: int
     extrinsically_symmetric: bool
-    center_order: int | None
-    cover_multiplier: int
     checks: Mapping
 
     @property
@@ -669,21 +660,22 @@ class SpindleReport:
         """Slice dimensions at t = k*pi/12, 0 <= k <= 12*lambda: the sum of
         dim p_nu over the integer frequencies nu with sin(nu*t) != 0, that
         is with k*nu not a multiple of 12."""
-        nu = np.array([round(f) for f in self.frequencies[1:]])
+        spec = self.spectrum
+        nu = np.array([round(f) for f in spec.positive_frequencies])
         k = np.arange(12 * self.lambda_ + 1)[:, None]
-        return ((k * nu % 12 != 0) @ np.array(self.mult_p[1:])).tolist()
+        return ((k * nu % 12 != 0) @ np.array(spec.positive_mult_p)).tolist()
 
     def to_json_dict(self) -> dict:
-        lam = self.lambda_
+        lam, space, spec = self.lambda_, self.space, self.spectrum
         return {
-            **_shared_json(self),
+            **_shared_json(space),
             "lambda": lam,
             "method_exact": self.method_exact,
             "method_numeric": self.method_numeric,
-            "frequencies": [float(nu) for nu in self.frequencies],
-            "mult_k": [int(v) for v in self.mult_k],
-            "mult_p": [int(v) for v in self.mult_p],
-            "dims": {"g": self.dim_g, "k": self.dim_k, "p": self.dim_p, "orbit": self.orbit_dim},
+            "frequencies": [float(nu) for nu in spec.frequencies],
+            "mult_k": [int(v) for v in spec.mult_k],
+            "mult_p": [int(v) for v in spec.mult_p],
+            "dims": {"g": space.dim_g, "k": space.k_dim, "p": space.p_dim, "orbit": spec.orbit_dim},
             "extrinsically_symmetric": self.extrinsically_symmetric,
             "knot_times": [f"{n}/1 pi" for n in range(lam)],
             "centriole_times": [f"{2 * n + 1}/2 pi" for n in range(lam)],
@@ -751,8 +743,10 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
 
     eps is resolved once here (None reads SPINDLE_EPS) and passed down as
     a float. One eigendecomposition xi = i v diag(w) v* gives the
-    spectrum (from root data), the exact route (from w alone), the return
-    scan and g = exp(pi*xi), so the analysis is O(N^3) after build_space."""
+    spectrum (from root data), the rational eigenphases (each cluster of w
+    rationalized once), which the exact route and the return scan's bound
+    share, the return scan and g = exp(pi*xi), so the analysis is O(N^3)
+    after build_space."""
     tol = resolve_eps(eps)
     if xi is None:
         xi = canonical_element(space.family)
@@ -766,30 +760,24 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
             f"got frequencies {spec.frequencies}"
         )
 
-    exact = method_exact(space.family, w)
+    phases = _rational_phases(w)
+    exact = method_exact(space.family, phases)
     g = _exp_eigh(w, v, math.pi)
-    numeric = _return_scan(space, w, v, g, tol)
+    numeric = _return_scan(space, w, v, g, phases, tol)
     if exact != numeric:
         raise MethodDisagreementError(
-            f"{space.family}: exact method gives {exact}, numeric scan gives {numeric}"
+            f"{space.family}: exact method gives {exact}, numeric scan gives {numeric} "
+            f"at eps {tol:g}"
         )
     lam = exact
 
     checks = _report_checks(space, g, spec, lam, ext_sym, exact, numeric, tol)
     return SpindleReport(
-        family=space.family,
+        space=space,
+        spectrum=spec,
         lambda_=lam,
         method_exact=exact,
         method_numeric=numeric,
-        frequencies=spec.frequencies,
-        mult_k=spec.mult_k,
-        mult_p=spec.mult_p,
-        dim_g=space.dim_g,
-        dim_k=space.k_dim,
-        dim_p=space.p_dim,
-        orbit_dim=spec.orbit_dim,
         extrinsically_symmetric=ext_sym,
-        center_order=space.center_order,
-        cover_multiplier=space.cover_multiplier,
         checks=checks,
     )

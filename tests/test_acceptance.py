@@ -102,7 +102,7 @@ def test_criterion_5_jacobi_knot_structure(catalog6):
             )
             assert classify_time(t) == expected_kind, f"{name}: k={k}"
         interior = {slice_dimension(spec, RationalAngle(k, 60)) for k in range(1, 60)}
-        assert interior == {report.orbit_dim}, name
+        assert interior == {report.spectrum.orbit_dim}, name
     print("PASS criterion 5: jacobi zeros, sin^2 profile, slice constancy, centriole flags")
 
 

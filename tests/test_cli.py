@@ -116,6 +116,32 @@ class TestEps:
         assert code == 0
         assert json.loads(path.read_text())["eps"] == 1e-8
 
+    def test_eps_below_roundoff_is_named(self, capsys):
+        # exp(n*pi*xi) carries roundoff near 1e-16, so at eps 1e-20 no
+        # candidate passes the isotropy test; the error says at which eps.
+        code, out, err = run(capsys, "--eps", "1e-20", "analyze", "AI", "1", "2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "verification failure: AI(1,2): no return to the isotropy group within "
+            "n_max = 6 (predicate inconsistent with the element) at eps 1e-20\n"
+        )
+
+    def test_method_disagreement_names_eps(self, capsys, monkeypatch):
+        # Without its block-determinant parity, BDI_split(3)'s exact route
+        # stops at 2 while the scan finds 4.
+        from dataclasses import replace
+
+        from spindles import spaces
+
+        spec = replace(spaces._FAMILIES["BDI_split"], identity_component=False)
+        monkeypatch.setitem(spaces._FAMILIES, "BDI_split", spec)
+        code, _, err = run(capsys, "--eps", "1e-8", "analyze", "BDI_split", "3")
+        assert code == 1
+        assert err == (
+            "verification failure: BDI_split(3): exact method gives 2, "
+            "numeric scan gives 4 at eps 1e-08\n"
+        )
+
 
 class TestProfile:
     def test_grid_and_classification(self, capsys):

@@ -6,6 +6,9 @@ with sorted keys), of the to_json_dict rows of eight N=40 spaces at their
 canonical element, of the file written by `table --cap 3 --json`, of
 the stdout of `verify --cap 3 --verbose` at the default eps and at eps 0.1
 (where every slice_zero_iff_knot check fails, since sin(pi/60) < 0.1),
+of the stdout of `analyze` for one member of each family, of `profile`
+(stdout and --csv file) for AI(2,4) and GRP_bd(5), of `table --cap 3`
+(stdout and --csv file),
 and of the stdout of the whole cap-6 battery, `verify --cap 6 --verbose`
 (2,752 checks, every printed residual included, run with one BLAS thread),
 and of the basis tensor of su(m) and so(m) for m <= 12 and of sp(n) for
@@ -37,6 +40,13 @@ LARGE_FAMILIES = (
     ("GRP_d", 20),
     ("GRP_bd", 41),
 )
+
+# One member of each of the twelve families, as `analyze` arguments.
+ANALYZE_MEMBERS = (
+    "AI 2 3", "AII 1 2", "AIII 3", "BDI_rank1 2 3", "BDI_split 3", "DIII 2",
+    "CI 3", "CII 2", "GRP_a 1 2", "GRP_bd 5", "GRP_c 2", "GRP_d 3",
+)
+PROFILE_MEMBERS = ("AI 2 4", "GRP_bd 5")
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_rows.json").read_text())
 
@@ -74,6 +84,29 @@ def test_table_json_file(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert digest(path.read_bytes()) == GOLDEN["table_cap3_json"]
 
+
+@pytest.mark.parametrize("member", ANALYZE_MEMBERS)
+def test_analyze_stdout(member, monkeypatch, capsys):
+    monkeypatch.delenv("SPINDLE_EPS", raising=False)
+    assert main(["analyze", *member.split()]) == 0
+    assert digest(capsys.readouterr().out.encode()) == GOLDEN["analyze_stdout"][member]
+
+
+@pytest.mark.parametrize("member", PROFILE_MEMBERS)
+def test_profile_outputs(member, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SPINDLE_EPS", raising=False)
+    path = tmp_path / "profile.csv"
+    assert main(["profile", *member.split(), "--step", "1/12", "--csv", str(path)]) == 0
+    got = {"stdout": digest(capsys.readouterr().out.encode()), "csv": digest(path.read_bytes())}
+    assert got == GOLDEN["profile_step_1/12"][member]
+
+
+def test_table_stdout_and_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SPINDLE_EPS", raising=False)
+    path = tmp_path / "table.csv"
+    assert main(["table", "--cap", "3", "--csv", str(path)]) == 0
+    got = {"stdout": digest(capsys.readouterr().out.encode()), "csv": digest(path.read_bytes())}
+    assert got == GOLDEN["table_cap3"]
 
 
 @pytest.mark.parametrize(

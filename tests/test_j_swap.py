@@ -45,7 +45,7 @@ from spindles.spaces import (
     isotropy_contains,
     sweep_families,
 )
-from spindles.spindle import _divisors, _phase_lcm
+from spindles.spindle import _divisors, _phase_lcm, _rational_phases
 
 EPS = 1e-9
 
@@ -155,7 +155,7 @@ def scan_candidates(family):
     """exp(n*pi*xi) at the canonical xi for every divisor n of n_max, the
     matrices the return scan may test."""
     w, v = _eigh_anti_hermitian(canonical_element(family), EPS, "scan_candidates")
-    return [_exp_eigh(w, v, n * math.pi) for n in _divisors(2 * _phase_lcm(w))]
+    return [_exp_eigh(w, v, n * math.pi) for n in _divisors(2 * _phase_lcm(_rational_phases(w)))]
 
 
 def families(*tags):

@@ -21,6 +21,7 @@ from spindles.errors import (
     FormIdentityError,
     IrrationalRatioError,
     NotAntiHermitianError,
+    NotInTangentSpaceError,
 )
 from spindles.linalg import (
     CLOSED_FORMS,
@@ -37,8 +38,9 @@ from spindles.spaces import FAMILY_TAGS, SpaceFamily, build_space, canonical_ele
 from spindles.spindle import (
     BUCKET_TOL,
     MAX_RATIO_DENOMINATOR,
-    AdSpectrum,
+    _rational_phases,
     ad_spectrum,
+    closed_form_lambda,
     method_exact,
     method_numeric,
     normalize_canonical,
@@ -157,9 +159,9 @@ class TestOneEigendecomposition:
         report = spindle_number(space)
         assert eigen_calls == [("eigh", (n, n))]
         assert report.method_exact == report.method_numeric
-        w = np.linalg.eigvalsh(-1j * canonical_element(family))
+        phases = _rational_phases(np.linalg.eigvalsh(-1j * canonical_element(family)))
         eigen_calls.clear()
-        method_exact(family, w)
+        method_exact(family, phases)
         assert eigen_calls == []
 
     def test_one_exponential_per_divisor(self, monkeypatch):
@@ -203,6 +205,40 @@ class TestOneEigendecomposition:
             with pytest.raises(NotAntiHermitianError, match="^exp_generic requires"):
                 exp_generic(xi)
 
+    def test_method_numeric_refuses_element_outside_p(self):
+        # The rotation E01 - E10 is anti-Hermitian but lies in k = so(3):
+        # unchecked, the scan answered 1 for it.
+        space = build_space(SpaceFamily.make("AI", 1, 2))
+        x = np.zeros((3, 3), dtype=complex)
+        x[0, 1], x[1, 0] = 1.0, -1.0
+        assert not space.contains_tangent(x, EPS)
+        for route in (method_numeric, spindle_number):
+            with pytest.raises(NotInTangentSpaceError, match=r"^AI\(1,2\): element is not in"):
+                route(space, x, EPS)
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_one_rationalization_per_analysis(self, monkeypatch, seed):
+        # spindle_number rationalizes each phase cluster of xi once, for the
+        # exact route and the scan's bound together: AI(2,3) and a seeded
+        # K-conjugate in AI(19,21) each have two clusters.
+        family = SpaceFamily.make("AI", 2, 3) if seed is None else SpaceFamily.make("AI", 19, 21)
+        space = build_space(family)
+        xi = canonical_element(family)
+        if seed is not None:
+            k = exp_generic(k_element(space, np.random.default_rng(seed)))
+            xi = k @ xi @ k.conj().T
+        calls = []
+        real = Fraction.limit_denominator
+
+        def counted(self, max_denominator=1000000):
+            calls.append(self)
+            return real(self, max_denominator)
+
+        monkeypatch.setattr(Fraction, "limit_denominator", counted)
+        report = spindle_number(space, xi, EPS)
+        assert report.lambda_ == closed_form_lambda(family)
+        assert len(calls) == 2
+
 
 class TestProfileOracle:
     @pytest.mark.parametrize(
@@ -212,8 +248,7 @@ class TestProfileOracle:
     )
     def test_matches_per_point_profile(self, family):
         report = spindle_number(build_space(family), eps=EPS)
-        spec = AdSpectrum(report.frequencies, report.mult_k, report.mult_p)
-        want = oracle_profile(spec, report.lambda_, EPS)
+        want = oracle_profile(report.spectrum, report.lambda_, EPS)
         assert report.slice_profile == want
         assert all(type(dim) is int for _, dim in report.slice_profile)
 

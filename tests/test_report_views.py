@@ -69,7 +69,7 @@ def test_report_path_builds_no_view_angles(constructions):
 
     constructions.clear()
     report.to_json_dict()
-    cli._row(space, report)
+    cli._row(report)
     assert constructions == []
 
     # The counter sees the views when they are read.

@@ -29,7 +29,14 @@ from spindles import (
 from spindles import spaces
 from spindles.errors import MembershipSearchError, NotUnitaryError, RationalizationError
 from spindles.linalg import _eigh_anti_hermitian, _exp_eigh, rationalize
-from spindles.spindle import BUCKET_TOL, _bucket, _divisors, _phase_lcm, _return_scan
+from spindles.spindle import (
+    BUCKET_TOL,
+    _bucket,
+    _divisors,
+    _phase_lcm,
+    _rational_phases,
+    _return_scan,
+)
 
 EPS = 1e-9
 
@@ -67,7 +74,7 @@ def k_conjugate(family, rng):
 
 
 def divisor_scan(space, w, v):
-    return _return_scan(space, w, v, _exp_eigh(w, v, math.pi), EPS)
+    return _return_scan(space, w, v, _exp_eigh(w, v, math.pi), _rational_phases(w), EPS)
 
 
 def assert_scans_agree(space, xi):
@@ -111,7 +118,7 @@ def test_mutated_predicate_is_caught(monkeypatch):
     family = SpaceFamily.make("AI", 19, 21)
     space = build_space(family)
     w, v = _eigh_anti_hermitian(canonical_element(family), EPS, "test")
-    assert 2 * _phase_lcm(w) == 80
+    assert 2 * _phase_lcm(_rational_phases(w)) == 80
     g3 = _exp_eigh(w, v, 3 * math.pi)
     spec = spaces._FAMILIES["AI"]
 
@@ -137,12 +144,12 @@ def test_non_unitary_eigenbasis_is_refused():
 
 
 def test_close_phases_are_separate_clusters():
-    assert _phase_lcm(np.array([1 / 4096, 1 / 4095])) == 4096 * 4095
+    assert _phase_lcm(_rational_phases(np.array([1 / 4096, 1 / 4095]))) == 4096 * 4095
 
 
 def test_off_lattice_phase_raises():
     with pytest.raises(RationalizationError):
-        _phase_lcm(np.array([-0.5, 0.0, 1 / 3 + 1e-5]))
+        _rational_phases(np.array([-0.5, 0.0, 1 / 3 + 1e-5]))
 
 
 def test_cluster_member_off_its_fraction_raises():
@@ -150,7 +157,7 @@ def test_cluster_member_off_its_fraction_raises():
     # (the same cluster) but just outside.
     first = 1 / 3 + 1e-6 - 2e-10
     with pytest.raises(RationalizationError):
-        _phase_lcm(np.array([first, first + 5e-10]))
+        _rational_phases(np.array([first, first + 5e-10]))
 
 
 def test_one_rationalization_per_cluster(monkeypatch):
@@ -165,7 +172,7 @@ def test_one_rationalization_per_cluster(monkeypatch):
         return original(self, max_denominator)
 
     monkeypatch.setattr(Fraction, "limit_denominator", counted)
-    assert _phase_lcm(w) == 40
+    assert _phase_lcm(_rational_phases(w)) == 40
     assert len(calls) == 2
     calls.clear()
     [rationalize(val) for val in w]

@@ -16,6 +16,7 @@ from spindles.linalg import RationalAngle, exp_generic
 from spindles.spaces import SpaceFamily, build_space, canonical_element
 from spindles.spindle import (
     AdSpectrum,
+    _rational_phases,
     _report_checks,
     adjoint_conjugation_flags,
     center_divisibility_check,
@@ -63,20 +64,20 @@ class TestClosedForm:
                 assert got == (p + q) // math.gcd(p, q)
 
 
-def canonical_w(family):
-    """The eigenvalues of -i*xi at the canonical element, method_exact's input."""
-    return np.linalg.eigvalsh(-1j * canonical_element(family))
+def canonical_phases(family):
+    """The rational eigenphases of xi at the canonical element, method_exact's input."""
+    return _rational_phases(np.linalg.eigvalsh(-1j * canonical_element(family)))
 
 
 class TestMethods:
     def test_exact_search_ai15(self):
         family = SpaceFamily.make("AI", 1, 5)
-        assert method_exact(family, canonical_w(family)) == 6
+        assert method_exact(family, canonical_phases(family)) == 6
 
     def test_exact_includes_cover(self):
         grp_bd, grp_d = SpaceFamily.make("GRP_bd", 4), SpaceFamily.make("GRP_d", 2)
-        assert method_exact(grp_bd, canonical_w(grp_bd)) == 2
-        assert method_exact(grp_d, canonical_w(grp_d)) == 4
+        assert method_exact(grp_bd, canonical_phases(grp_bd)) == 2
+        assert method_exact(grp_d, canonical_phases(grp_d)) == 4
 
     def test_numeric_matches_exact_samples(self):
         for tag, params in [
@@ -92,7 +93,7 @@ class TestMethods:
             family = SpaceFamily.make(tag, *params)
             space = build_space(family)
             xi = canonical_element(family)
-            assert method_numeric(space, xi) == method_exact(family, canonical_w(family))
+            assert method_numeric(space, xi) == method_exact(family, canonical_phases(family))
 
     def test_numeric_detects_shorter_return(self, monkeypatch):
         # a canonical element that is not conjugate to the catalog one: its
@@ -101,7 +102,7 @@ class TestMethods:
         space = build_space(family)
         other = 1j * np.diag([0.0, 1.0, -1.0, 0.0])
         assert method_numeric(space, other) == 1
-        assert method_exact(family, np.linalg.eigvalsh(-1j * other)) == 1
+        assert method_exact(family, _rational_phases(np.linalg.eigvalsh(-1j * other))) == 1
         report = spindle_number(space, other)
         assert report.lambda_ == report.method_exact == report.method_numeric == 1
         # A predicate that refuses exp(pi*xi) moves the numeric return to 2,
@@ -126,9 +127,9 @@ class TestSpindleNumber:
         assert report.lambda_ == 6
         assert report.method_exact == 6
         assert report.method_numeric == 6
-        assert report.center_order == 3
-        assert report.lambda_ == 2 * report.center_order
-        assert report.frequencies == (0.0, 1.0)
+        assert report.space.center_order == 3
+        assert report.lambda_ == 2 * report.space.center_order
+        assert report.spectrum.frequencies == (0.0, 1.0)
         assert report.extrinsically_symmetric
         assert report.knot_times == tuple(RationalAngle(n) for n in range(6))
         assert report.centriole_times == tuple(
@@ -176,7 +177,7 @@ class TestSpindleNumber:
         for t, dim in report.slice_profile:
             assert (dim == 0) == t.sin_is_zero
             if not t.sin_is_zero:
-                assert dim == report.orbit_dim
+                assert dim == report.spectrum.orbit_dim
 
 
 class TestAdjointChecks:
@@ -336,7 +337,7 @@ class TestReportChecksOracle:
     @pytest.mark.parametrize("tol", [1e-9, 0.1])
     def test_catalog_reports(self, catalog6, tol):
         for name, (_, space, report) in catalog6.items():
-            spec = AdSpectrum(report.frequencies, report.mult_k, report.mult_p)
+            spec = report.spectrum
             ext_sym = report.extrinsically_symmetric
             lam = report.lambda_
             g = exp_generic(canonical_element(space.family), math.pi)
@@ -438,7 +439,7 @@ class TestFullCatalog:
     def test_all_reports_extrinsically_symmetric(self, catalog6):
         for name, (family, space, report) in catalog6.items():
             assert report.extrinsically_symmetric, name
-            assert report.frequencies == (0.0, 1.0), name
+            assert report.spectrum.frequencies == (0.0, 1.0), name
 
     def test_all_checks_green(self, catalog6):
         for name, (family, space, report) in catalog6.items():
