@@ -9,9 +9,10 @@ Four subcommands:
   verify   run the self-verification battery
 
 Exit codes: 0 success, 1 a verification-style check failed or the two
-spindle methods disagree, 2 bad usage or an unidentifiable numeric
-situation. All floating output is printed with 12 significant digits and
-JSON keys are sorted, so repeated runs are byte-identical.
+spindle methods disagree, 2 bad usage, an unidentifiable numeric
+situation or a computation larger than the available memory. All
+floating output is printed with 12 significant digits and JSON keys are
+sorted, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
 from .linalg import RationalAngle, check_eps, default_eps
 from .spaces import (
     FAMILY_TAGS,
-    PQ_FAMILIES,
     SpaceFamily,
     build_space,
     catalog_entry,
@@ -47,6 +47,10 @@ from .spindle import (
     spindle_number,
 )
 from .verification import run_verification
+
+# profile builds its whole table before printing it; a --step asking for
+# more rows than this is refused rather than run for hours.
+MAX_PROFILE_ROWS = 1_000_000
 
 
 def _fmt(x) -> str:
@@ -108,14 +112,8 @@ def cmd_table(args) -> int:
 
 
 def _family_from_args(args) -> SpaceFamily:
-    tag = args.family
-    if tag in PQ_FAMILIES:
-        if args.q is None:
-            raise SpindleError(f"family {tag} takes two parameters p q")
-        return SpaceFamily.make(tag, args.p, args.q)
-    if args.q is not None:
-        raise SpindleError(f"family {tag} takes a single parameter n")
-    return SpaceFamily.make(tag, args.p)
+    """The family of the positional arguments; SpaceFamily checks the arity."""
+    return SpaceFamily(args.family, (args.p,) if args.q is None else (args.p, args.q))
 
 
 def cmd_analyze(args) -> int:
@@ -156,25 +154,27 @@ def cmd_analyze(args) -> int:
 def cmd_profile(args) -> int:
     family = _family_from_args(args)
     step = RationalAngle.parse(args.step)
-    if step.fraction <= 0:
+    if step.num <= 0:
         raise SpindleError(f"--step must be positive, got {args.step}")
     report = spindle_number(build_space(family), eps=args.eps)
     spec = report.spectrum
     comps = [1.0] * len(spec.positive_frequencies)
 
-    rows = []
-    k = 0
-    while (step.fraction * k) <= report.lambda_:
-        t = step * k
-        rows.append(
-            (
-                t.over_pi_text,
-                _fmt(jacobi_norm_sq(spec, comps, t)),
-                str(slice_dimension(spec, t, args.eps)),
-                classify_time(t),
-            )
+    # One row per t = k*step in [0, lambda*pi]: k <= lambda*den/num.
+    count = report.lambda_ * step.den // step.num + 1
+    if count > MAX_PROFILE_ROWS:
+        raise SpindleError(
+            f"--step {args.step} asks for {count} rows, more than {MAX_PROFILE_ROWS}"
         )
-        k += 1
+    rows = [
+        (
+            t.over_pi_text,
+            _fmt(jacobi_norm_sq(spec, comps, t)),
+            str(slice_dimension(spec, t, args.eps)),
+            classify_time(t),
+        )
+        for t in (step * k for k in range(count))
+    ]
 
     header = ("t_over_pi", "jacobi_norm_sq", "slice_dimension", "classification")
     if args.csv:
@@ -308,11 +308,12 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except SpindleError as exc:
+    except (SpindleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

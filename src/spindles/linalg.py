@@ -109,6 +109,13 @@ def rationalize(x: float, max_den: int = MAX_PHASE_DENOMINATOR, tol: float = PHA
     return f
 
 
+def _over_pi_text(num: int, den: int) -> str:
+    """num/den (den >= 1) in lowest terms as str(Fraction) writes it:
+    'num/den', or 'num' when the denominator is 1."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 @dataclass(frozen=True, slots=True)
 class RationalAngle:
     """The angle (num/den) * pi, stored in lowest terms with den >= 1.
@@ -139,16 +146,13 @@ class RationalAngle:
         object.__setattr__(self, "den", den // g)
 
     @classmethod
-    def from_fraction(cls, f: Fraction) -> "RationalAngle":
-        return cls(f.numerator, f.denominator)
-
-    @classmethod
     def parse(cls, text: str) -> "RationalAngle":
         """Parse 'a/b' or 'a' (multiples of pi)."""
         try:
-            return cls.from_fraction(Fraction(text.strip()))
+            f = Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalizationError(f"cannot parse angle {text!r}: {exc}") from exc
+        return cls(f.numerator, f.denominator)
 
     @property
     def fraction(self) -> Fraction:
@@ -156,9 +160,7 @@ class RationalAngle:
 
     @property
     def over_pi_text(self) -> str:
-        """The angle over pi as str(Fraction) writes it: 'num/den', or 'num'
-        when den is 1."""
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+        return _over_pi_text(self.num, self.den)
 
     @property
     def radians(self) -> float:
@@ -201,12 +203,13 @@ class RationalAngle:
             return 0.0
         return math.cos(math.pi * self._mod2())
 
-    # Exact arithmetic. Multiplication is by exact scalars only.
+    # Exact arithmetic on (num, den); scalars are an int or a Fraction, read
+    # through .numerator and .denominator. The constructor reduces the result.
     def __add__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle.from_fraction(self.fraction + other.fraction)
+        return RationalAngle(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle.from_fraction(self.fraction - other.fraction)
+        return RationalAngle(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RationalAngle":
         return RationalAngle(-self.num, self.den)
@@ -214,14 +217,14 @@ class RationalAngle:
     def __mul__(self, other: Union[int, Fraction]) -> "RationalAngle":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return RationalAngle.from_fraction(self.fraction * other)
+        return RationalAngle(self.num * other.numerator, self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union[int, Fraction]) -> "RationalAngle":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return RationalAngle.from_fraction(self.fraction / other)
+        return RationalAngle(self.num * other.denominator, self.den * other.numerator)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den} pi"

@@ -521,7 +521,9 @@ PQ_FAMILIES = frozenset(tag for tag, spec in _FAMILIES.items() if spec.pq)
 
 @dataclass(frozen=True)
 class SpaceFamily:
-    """A family tag plus its parameter tuple, validated on construction."""
+    """A family tag plus its parameters, (p, q) or (n,) as FamilySpec.pq
+    says. Construction is the one check of the tag, the arity, integrality
+    and the bounds; ParameterError names what is wrong."""
 
     tag: str
     params: tuple
@@ -540,11 +542,10 @@ class SpaceFamily:
         if not integral:
             raise ParameterError(f"{self.tag}: parameters must be integers, got {self.params!r}")
         object.__setattr__(self, "params", params)
+        if len(params) != (2 if spec.pq else 1):
+            arity = "two parameters p, q" if spec.pq else "a single parameter n"
+            raise ParameterError(f"{self.tag} takes {arity}; got {len(params)}")
         if spec.pq:
-            if len(params) != 2:
-                raise ParameterError(
-                    f"{self.tag} takes two parameters p, q; got {len(params)}"
-                )
             p, q = params
             if not (1 <= p <= q):
                 raise ParameterError(f"{self.tag} requires 1 <= p <= q; got p={p}, q={q}")
@@ -554,10 +555,6 @@ class SpaceFamily:
                     f"got p={p}, q={q}"
                 )
         else:
-            if len(params) != 1:
-                raise ParameterError(
-                    f"{self.tag} takes one parameter n; got {len(params)}"
-                )
             n = params[0]
             if n < spec.lower_bound:
                 raise ParameterError(
@@ -571,24 +568,6 @@ class SpaceFamily:
     @property
     def _spec(self) -> FamilySpec:
         return _FAMILIES[self.tag]
-
-    @property
-    def p(self) -> int:
-        if not self._spec.pq:
-            raise ParameterError(f"{self.tag} has no (p, q) parameters")
-        return self.params[0]
-
-    @property
-    def q(self) -> int:
-        if not self._spec.pq:
-            raise ParameterError(f"{self.tag} has no (p, q) parameters")
-        return self.params[1]
-
-    @property
-    def n(self) -> int:
-        if self._spec.pq:
-            raise ParameterError(f"{self.tag} has no single parameter n")
-        return self.params[0]
 
     @property
     def closed_form(self) -> str:

@@ -53,6 +53,7 @@ from .linalg import (
     RationalAngle,
     _eigh_anti_hermitian,
     _exp_eigh,
+    _over_pi_text,
     ensure_square,
     exp_generic,
     is_unitary,
@@ -186,42 +187,40 @@ def _frequency_clusters(space: SpaceInstance, nu: np.ndarray) -> tuple:
 
 
 def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
-    """(spectrum, column groups, u): the AdSpectrum of ad(xi) from its
-    matrix, with the eigenvectors u of -ad(xi)^2 and, per frequency, the
-    indices of its columns in u (as _frequency_clusters groups them)."""
+    """(spectrum, blocks): the AdSpectrum of ad(xi) from its matrix and, per
+    frequency cluster as _frequency_clusters groups them, the block (ub, t):
+    the cluster's eigenvectors ub of -ad(xi)^2 and t = ub^T sigma ub.
+    sigma is +1 on k and -1 on p, so (size + tr t)/2 is the k-multiplicity
+    (0 for an empty cluster)."""
     sq = -(admat @ admat)
     w, u = np.linalg.eigh((sq + sq.T) / 2.0)
     nu = np.sqrt(np.clip(w, 0.0, None))
     frequencies, column_groups = _frequency_clusters(space, nu)
 
+    blocks = []
     mult_k = []
-    mult_p = []
     s = space.sigma_coords
     for cols in column_groups:
-        size = len(cols)
-        if size == 0:
-            mult_k.append(0)
-            mult_p.append(0)
-            continue
         ub = u[:, cols]
         t = ub.T @ s @ ub
-        k_f = (size + float(np.trace(t))) / 2.0
+        k_f = (len(cols) + float(np.trace(t))) / 2.0
         k_count = int(round(k_f))
         if abs(k_f - k_count) > 1e-6:
             raise SpectrumBucketingError(
                 f"{space.family}: involution does not split a frequency cluster integrally "
                 f"(got k-multiplicity {k_f})"
             )
+        blocks.append((ub, t))
         mult_k.append(k_count)
-        mult_p.append(size - k_count)
 
+    mult_p = (len(cols) - k for cols, k in zip(column_groups, mult_k))
     spec = AdSpectrum(tuple(frequencies), tuple(mult_k), tuple(mult_p))
     if spec.dim_k != space.k_dim or spec.dim_p != space.p_dim:
         raise SpectrumBucketingError(
             f"{space.family}: multiplicities sum to ({spec.dim_k}, {spec.dim_p}), "
             f"expected ({space.k_dim}, {space.p_dim})"
         )
-    return spec, column_groups, u
+    return spec, blocks
 
 
 def _root_spectrum(space: SpaceInstance, w: np.ndarray, tol: float) -> tuple:
@@ -268,28 +267,45 @@ def ad_spectrum(space: SpaceInstance, xi, eps: float | None = None) -> AdSpectru
     return _spectrum_from_ad(space, ad_matrix(space, xi, eps))[0]
 
 
-def is_canonical(spec: AdSpectrum, tol: float = BUCKET_TOL) -> bool:
-    """True iff every frequency is within tol of an integer and the
-    nonzero integers are relatively prime."""
+def _integer(freq: float) -> int | None:
+    """freq as an integer >= 1 if it lies within BUCKET_TOL of one, else None."""
+    k = round(freq)
+    return k if k >= 1 and abs(freq - k) <= BUCKET_TOL else None
+
+
+def _positive_frequencies(spec: AdSpectrum) -> tuple:
+    """spec.positive_frequencies, refusing a spectrum with none: such an
+    element has no canonical normalization."""
     positives = spec.positive_frequencies
     if not positives:
         raise DegenerateElementError(
             "ad(xi) has no nonzero frequency; no canonical normalization exists"
         )
-    ints = []
-    for nu in positives:
-        k = round(nu)
-        if abs(nu - k) > tol or k < 1:
-            return False
-        ints.append(int(k))
-    return math.gcd(*ints) == 1
+    return positives
 
 
-def integer_frequencies(spec: AdSpectrum, tol: float = BUCKET_TOL) -> tuple:
-    """Positive frequencies as exact integers; requires a canonical spectrum."""
-    if not is_canonical(spec, tol):
+def is_canonical(spec: AdSpectrum) -> bool:
+    """True iff every positive frequency is within BUCKET_TOL of an integer
+    >= 1 and those integers are relatively prime; DegenerateElementError
+    if there is no positive frequency."""
+    ints = [_integer(nu) for nu in _positive_frequencies(spec)]
+    return None not in ints and math.gcd(*ints) == 1
+
+
+def _require_canonical(space: SpaceInstance, spec: AdSpectrum, caller: str) -> None:
+    if not is_canonical(spec):
+        raise NotCanonicalError(
+            f"{space.family}: {caller} requires a canonical element, "
+            f"got frequencies {spec.frequencies}"
+        )
+
+
+def integer_frequencies(spec: AdSpectrum) -> tuple:
+    """The positive frequencies as exact integers, as is_canonical reads
+    them; NotCanonicalError unless the spectrum is canonical."""
+    if not is_canonical(spec):
         raise NotCanonicalError(f"spectrum {spec.frequencies} is not canonical")
-    return tuple(int(round(nu)) for nu in spec.positive_frequencies)
+    return tuple(_integer(nu) for nu in spec.positive_frequencies)
 
 
 def normalize_canonical(space: SpaceInstance, xi, eps: float | None = None) -> np.ndarray:
@@ -302,11 +318,7 @@ def normalize_canonical(space: SpaceInstance, xi, eps: float | None = None) -> n
     m = ensure_square(xi)
     _require_tangent(space, m, eps)
     spec, _ = _root_spectrum(space, np.linalg.eigvalsh(-1j * m), resolve_eps(eps))
-    positives = spec.positive_frequencies
-    if not positives:
-        raise DegenerateElementError(
-            "ad(xi) has no nonzero frequency; no canonical normalization exists"
-        )
+    positives = _positive_frequencies(spec)
     base = positives[0]
     try:
         ratios = [rationalize(nu / base, MAX_RATIO_DENOMINATOR, BUCKET_TOL) for nu in positives]
@@ -344,45 +356,28 @@ def is_extrinsically_symmetric_type(space: SpaceInstance, xi, eps: float | None 
 def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSplit:
     """Orthonormal bases of k_plus, p_plus, k_nu, p_nu.
 
-    Works inside coordinates: each frequency cluster of -ad(xi)^2 is
-    intersected with the +-1 eigenspaces of the involution, then mapped
-    back to matrices.
+    Works inside coordinates: each frequency cluster of -ad(xi)^2 is split
+    by the eigenvectors of t, the involution on its span that
+    _spectrum_from_ad returns with it (+1 into k, -1 into p), then mapped
+    back to matrices; an empty piece is a (0, N, N) stack.
     """
-    spec, column_groups, u = _spectrum_from_ad(space, ad_matrix(space, xi, eps))
-    if not is_canonical(spec):
-        raise NotCanonicalError(
-            f"{space.family}: cartan_split requires a canonical element, "
-            f"got frequencies {spec.frequencies}"
-        )
-    s = space.sigma_coords
+    spec, blocks = _spectrum_from_ad(space, ad_matrix(space, xi, eps))
+    _require_canonical(space, spec, "cartan_split")
 
-    def split_cluster(cols: np.ndarray) -> tuple:
-        ub = u[:, cols]
-        t = ub.T @ s @ ub
+    def split(ub: np.ndarray, t: np.ndarray) -> tuple:
         tw, tv = np.linalg.eigh((t + t.T) / 2.0)
-        k_cols = ub @ tv[:, tw > 0.0]
-        p_cols = ub @ tv[:, tw <= 0.0]
-        return k_cols, p_cols
+        return tuple(
+            np.tensordot((ub @ tv[:, side]).T, space.basis_tensor, axes=1)
+            for side in (tw > 0.0, tw <= 0.0)
+        )
 
-    def to_matrices(coord_cols: np.ndarray) -> np.ndarray:
-        if coord_cols.shape[1] == 0:
-            return np.zeros((0, space.ambient_dim, space.ambient_dim), dtype=complex)
-        return np.tensordot(coord_cols.T, space.basis_tensor, axes=1)
-
-    k0, p0 = split_cluster(column_groups[0])
-    k_nu = []
-    p_nu = []
-    for cols in column_groups[1:]:
-        kc, pc = split_cluster(cols)
-        k_nu.append(to_matrices(kc))
-        p_nu.append(to_matrices(pc))
-
+    (k_plus, p_plus), *pieces = (split(*block) for block in blocks)
     return CartanSplit(
         spectrum=spec,
-        k_plus=to_matrices(k0),
-        p_plus=to_matrices(p0),
-        k_nu=tuple(k_nu),
-        p_nu=tuple(p_nu),
+        k_plus=k_plus,
+        p_plus=p_plus,
+        k_nu=tuple(k for k, _ in pieces),
+        p_nu=tuple(p for _, p in pieces),
     )
 
 
@@ -429,29 +424,29 @@ def _finite_time(t):
 
 
 def _sin_at(freq: float, t) -> float:
-    if isinstance(t, RationalAngle):
-        k = round(freq)
-        if abs(freq - k) <= BUCKET_TOL and k >= 1:
-            return (t * int(k)).sin()
-        return math.sin(freq * t.radians)
-    return math.sin(freq * float(t))
+    """sin(freq*t) for t as _finite_time gives it, exact at rational t and an
+    integer frequency."""
+    if not isinstance(t, RationalAngle):
+        return math.sin(freq * t)
+    k = _integer(freq)
+    return math.sin(freq * t.radians) if k is None else (t * k).sin()
 
 
 def slice_dimension(spec: AdSpectrum, t, eps: float | None = None) -> int:
     """Dimension of the slice at parameter t: the sum of dim p_nu over
     frequencies with sin(nu t) != 0; t may be a float or a RationalAngle.
-    A CartanSplit passes its spectrum."""
+    At t = (num/den)*pi and an integer frequency k this is exact: den does
+    not divide num*k. Otherwise |sin(nu t)| > eps decides. A CartanSplit
+    passes its spectrum."""
     t = _finite_time(t)
     tol = resolve_eps(eps)
+    rational = isinstance(t, RationalAngle)
     total = 0
     for freq, mult in zip(spec.positive_frequencies, spec.positive_mult_p):
-        if isinstance(t, RationalAngle):
-            k = round(freq)
-            if abs(freq - k) <= BUCKET_TOL and k >= 1:
-                if not (t * int(k)).sin_is_zero:
-                    total += mult
-                continue
-        if abs(math.sin(freq * (t.radians if isinstance(t, RationalAngle) else t))) > tol:
+        k = _integer(freq) if rational else None
+        if k is not None:
+            total += mult if (t.num * k) % t.den else 0
+        elif abs(math.sin(freq * (t.radians if rational else t))) > tol:
             total += mult
     return int(total)
 
@@ -612,12 +607,6 @@ def _adjoint_flags(space: SpaceInstance, g: np.ndarray, tol: float) -> tuple:
     return order_two, commutes
 
 
-def _twelfths_text(k: int) -> str:
-    """k/12 in lowest terms, written as RationalAngle.over_pi_text writes it."""
-    g = math.gcd(k, 12)
-    return str(k // g) if g == 12 else f"{k // g}/{12 // g}"
-
-
 @dataclass(frozen=True, eq=False)
 class SpindleReport:
     """Everything the analysis of one (space, xi) decides. The dimensions,
@@ -661,7 +650,7 @@ class SpindleReport:
         dim p_nu over the integer frequencies nu with sin(nu*t) != 0, that
         is with k*nu not a multiple of 12."""
         spec = self.spectrum
-        nu = np.array([round(f) for f in spec.positive_frequencies])
+        nu = np.array([_integer(f) for f in spec.positive_frequencies])
         k = np.arange(12 * self.lambda_ + 1)[:, None]
         return ((k * nu % 12 != 0) @ np.array(spec.positive_mult_p)).tolist()
 
@@ -680,7 +669,7 @@ class SpindleReport:
             "knot_times": [f"{n}/1 pi" for n in range(lam)],
             "centriole_times": [f"{2 * n + 1}/2 pi" for n in range(lam)],
             "slice_profile": [
-                {"t_over_pi": _twelfths_text(k), "dim": dim}
+                {"t_over_pi": _over_pi_text(k, 12), "dim": dim}
                 for k, dim in enumerate(self._profile_dims())
             ],
             "geodesic_length_over_norm": f"{lam}/1 pi",
@@ -754,11 +743,7 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
     w, v = _eigh_anti_hermitian(xi, tol, "spindle_number")
 
     spec, ext_sym = _root_spectrum(space, w, tol)
-    if not is_canonical(spec):
-        raise NotCanonicalError(
-            f"{space.family}: spindle_number requires a canonical element, "
-            f"got frequencies {spec.frequencies}"
-        )
+    _require_canonical(space, spec, "spindle_number")
 
     phases = _rational_phases(w)
     exact = method_exact(space.family, phases)

@@ -31,9 +31,10 @@ GRID = range(-240, 241)
 
 def _expected_lambda(family):
     if family.tag in ("AI", "AII", "GRP_a"):
-        return (family.p + family.q) // math.gcd(family.p, family.q)
+        p, q = family.params
+        return (p + q) // math.gcd(p, q)
     if family.tag == "BDI_split":
-        return 2 if family.n % 2 == 0 else 4
+        return 2 if family.params[0] % 2 == 0 else 4
     if family.tag == "GRP_d":
         return 4
     return 2

@@ -96,6 +96,30 @@ class TestAnalyze:
         assert "single parameter" in err
 
 
+class TestOutOfMemory:
+    def test_memory_error_exit_2_one_line(self, capsys, monkeypatch):
+        from spindles import cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 728. TiB for an array")
+
+        monkeypatch.setattr(cli, "build_space", no_memory)
+        code, out, err = run(capsys, "analyze", "AI", "1", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 728. TiB for an array\n"
+        assert "Traceback" not in err
+
+    def test_bare_memory_error(self, capsys, monkeypatch):
+        from spindles import cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_verification", no_memory)
+        code, out, err = run(capsys, "verify", "--cap", "2")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 class TestEps:
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_flag_exit_2(self, capsys, value):
@@ -183,6 +207,26 @@ class TestProfile:
         assert rows[0] == ["t_over_pi", "jacobi_norm_sq", "slice_dimension", "classification"]
         assert rows[1] == ["0", "0", "0", "knot"]
         assert rows[-1] == ["3", "0", "0", "knot"]
+
+    def test_runaway_step_exit_2(self, capsys):
+        # lambda = 3 at steps of pi/10^8 would be 3*10^8 + 1 rows.
+        code, out, err = run(capsys, "profile", "AI", "1", "2", "--step", "1/100000000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --step 1/100000000 asks for 300000001 rows, more than 1000000\n"
+        )
+
+    def test_row_cap_is_inclusive(self, capsys, monkeypatch):
+        from spindles import cli
+
+        monkeypatch.setattr(cli, "MAX_PROFILE_ROWS", 25)
+        code, out, _ = run(capsys, "profile", "CI", "2", "--step", "1/12")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 26  # header + 25 rows
+        monkeypatch.setattr(cli, "MAX_PROFILE_ROWS", 24)
+        code, out, err = run(capsys, "profile", "CI", "2", "--step", "1/12")
+        assert (code, out) == (2, "")
+        assert "25 rows, more than 24" in err
 
     def test_degenerate_step_exit_2(self, capsys):
         code, _, err = run(capsys, "profile", "AI", "1", "2", "--step", "0")

@@ -432,7 +432,7 @@ class TestFullCatalog:
 
     def test_bdi_split_alternation(self, catalog6):
         got = {
-            f.n: r.lambda_ for f, s, r in catalog6.values() if f.tag == "BDI_split"
+            f.params[0]: r.lambda_ for f, s, r in catalog6.values() if f.tag == "BDI_split"
         }
         assert got == {2: 2, 3: 4, 4: 2, 5: 4, 6: 2}
 
