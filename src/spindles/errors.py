@@ -56,8 +56,8 @@ class NotCanonicalError(SpindleError, ValueError):
 
 
 class SpectrumBucketingError(SpindleError, RuntimeError):
-    """Eigenvalue clusters are ambiguous at the requested tolerance, or a
-    multiplicity split came out non-integral."""
+    """Eigenvalue clusters are ambiguous at the requested tolerance, or the
+    k/p split of the spectrum does not match the involution."""
 
 
 class MembershipSearchError(SpindleError, RuntimeError):

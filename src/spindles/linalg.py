@@ -282,7 +282,8 @@ def exp_structured(xi, t: RationalAngle, form: str, eps: float | None = None) ->
 
 def _exp_structured_many(xi, angles, form: str, eps: float | None = None) -> list:
     """[exp_structured(xi, t, form, eps) for t in angles], with the form's
-    identity checked and the diagonal of xi rationalized once."""
+    identity checked and the diagonal of xi rationalized once; a diagonal
+    phase takes one _phase_entry per angle and distinct phase value."""
     m = ensure_square(xi)
     tol = resolve_eps(eps)
     eye = np.eye(m.shape[0])
@@ -295,7 +296,10 @@ def _exp_structured_many(xi, angles, form: str, eps: float | None = None) -> lis
         if float(np.max(np.abs(d.real))) > tol:
             raise FormIdentityError("diagonal-phase form needs purely imaginary diagonal")
         phases = [rationalize(v) for v in d.imag]
-        return [np.diag([_phase_entry(t * f) for f in phases]) for t in angles]
+        distinct = list(dict.fromkeys(phases))
+        slots = [distinct.index(f) for f in phases]
+        rows = ([_phase_entry(t * f) for f in distinct] for t in angles)
+        return [np.diag([row[s] for s in slots]) for row in rows]
 
     if form == "half-angle":
         if float(np.max(np.abs(m @ m + eye / 4))) > tol:

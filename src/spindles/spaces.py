@@ -739,10 +739,18 @@ def stated_membership(family: SpaceFamily, phases, t: RationalAngle) -> bool:
     phase w, f = t/pi (for the group families: g^2 = I). K is that fixed
     group but for BDI, whose K = SO(p)xSO(q) is its identity component:
     there the p-block determinant, (-1)^(f * the sum of the phases w > 0),
-    must also be 1."""
-    f = t.fraction
-    turns = sum(w * m for w, m in phases if w > 0) if family._spec.identity_component else 0
-    return all((f * w).denominator == 1 for w, _ in phases) and (f * turns) % 2 == 0
+    must also be 1. With f = num/den in lowest terms, f*w is the integer
+    q of divmod(num * w.numerator, den * w.denominator) when the remainder
+    is 0, and the parity sums those q: the test stays in integers."""
+    num, den = t.num, t.den
+    turns = 0
+    for w, m in phases:
+        q, r = divmod(num * w.numerator, den * w.denominator)
+        if r:
+            return False
+        if w.numerator > 0:
+            turns += q * m
+    return not (family._spec.identity_component and turns % 2)
 
 
 def sweep_families(cap: int) -> Iterator[SpaceFamily]:

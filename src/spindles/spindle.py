@@ -21,10 +21,13 @@ normalize_canonical read it off the N eigenvalues of xi through the
 family's root rule, in O(N^3), and build no dim g x dim g matrix and no
 basis; spindle_number's one eigendecomposition of xi also serves its
 numeric scan and exp(pi*xi). ad_matrix, ad_spectrum, cartan_split and
-is_extrinsically_symmetric_type diagonalize the matrix of ad(xi) on g
+is_extrinsically_symmetric_type work on the matrix of ad(xi) on g
 instead; they are the independent second route, and the first call of
 one on a space builds its basis and sigma_coords (O(dim g^2 N^2) time
-and memory).
+and memory). ad_spectrum and cartan_split share one eigh, of -ad(xi)^2
+shifted by +c on k and -c on p: its eigenvalues give the frequencies,
+their signs the k/p multiplicities, and its eigenvectors the pieces
+k_nu and p_nu.
 """
 
 from __future__ import annotations
@@ -188,33 +191,40 @@ def _frequency_clusters(space: SpaceInstance, nu: np.ndarray) -> tuple:
 
 def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
     """(spectrum, blocks): the AdSpectrum of ad(xi) from its matrix and, per
-    frequency cluster as _frequency_clusters groups them, the block (ub, t):
-    the cluster's eigenvectors ub of -ad(xi)^2 and t = ub^T sigma ub.
-    sigma is +1 on k and -1 on p, so (size + tr t)/2 is the k-multiplicity
-    (0 for an empty cluster)."""
+    frequency cluster as _frequency_clusters groups them, the block (uk, up)
+    of orthonormal coordinate columns spanning its k part and its p part.
+
+    One eigh splits both. For xi in p, ad(xi) swaps k and p, so -ad(xi)^2
+    commutes with sigma, and M = -ad(xi)^2 + c*sigma_coords, with c one
+    more than the largest absolute row sum of -ad(xi)^2 (a bound on its
+    eigenvalues nu^2), has the eigenvalue nu^2 + c >= 1 on k_nu and
+    nu^2 - c <= -1 on p_nu. The sign of each eigenvalue mu is its k/p
+    label, and nu is sqrt(mu - c) on k, sqrt(mu + c) on p. By Weyl's
+    inequality every orthogonal involution keeps the eigenvalues of M at
+    least 1 away from 0; one within 1/2 of 0 is refused, as sigma_coords
+    is then not such an involution."""
     sq = -(admat @ admat)
-    w, u = np.linalg.eigh((sq + sq.T) / 2.0)
-    nu = np.sqrt(np.clip(w, 0.0, None))
-    frequencies, column_groups = _frequency_clusters(space, nu)
+    sq = (sq + sq.T) / 2.0
+    c = 1.0 + float(np.max(np.sum(np.abs(sq), axis=1)))
+    w, u = np.linalg.eigh(sq + c * space.sigma_coords)
+    if np.any(np.abs(w) < 0.5):
+        raise SpectrumBucketingError(
+            f"{space.family}: shifted eigenvalue {w[np.argmin(np.abs(w))]} within 1/2 of 0; "
+            "sigma_coords is not an orthogonal involution commuting with ad(xi)^2"
+        )
+    in_k = w > 0.0
+    nu = np.sqrt(np.clip(np.where(in_k, w - c, w + c), 0.0, None))
+    order = np.argsort(nu, kind="stable")
+    frequencies, column_groups = _frequency_clusters(space, nu[order])
 
     blocks = []
-    mult_k = []
-    s = space.sigma_coords
-    for cols in column_groups:
-        ub = u[:, cols]
-        t = ub.T @ s @ ub
-        k_f = (len(cols) + float(np.trace(t))) / 2.0
-        k_count = int(round(k_f))
-        if abs(k_f - k_count) > 1e-6:
-            raise SpectrumBucketingError(
-                f"{space.family}: involution does not split a frequency cluster integrally "
-                f"(got k-multiplicity {k_f})"
-            )
-        blocks.append((ub, t))
-        mult_k.append(k_count)
+    for group in column_groups:
+        cols = order[group]
+        blocks.append((u[:, cols[in_k[cols]]], u[:, cols[~in_k[cols]]]))
 
-    mult_p = (len(cols) - k for cols, k in zip(column_groups, mult_k))
-    spec = AdSpectrum(tuple(frequencies), tuple(mult_k), tuple(mult_p))
+    mult_k = tuple(uk.shape[1] for uk, _ in blocks)
+    mult_p = tuple(up.shape[1] for _, up in blocks)
+    spec = AdSpectrum(tuple(frequencies), mult_k, mult_p)
     if spec.dim_k != space.k_dim or spec.dim_p != space.p_dim:
         raise SpectrumBucketingError(
             f"{space.family}: multiplicities sum to ({spec.dim_k}, {spec.dim_p}), "
@@ -259,10 +269,10 @@ def _root_spectrum(space: SpaceInstance, w: np.ndarray, tol: float) -> tuple:
 def ad_spectrum(space: SpaceInstance, xi, eps: float | None = None) -> AdSpectrum:
     """Frequencies of ad(xi) with k/p multiplicities.
 
-    Eigenvalues of ad(xi) come in pairs +-i*nu; the computation
-    diagonalizes -ad(xi)^2, buckets the square roots with BUCKET_TOL,
-    snaps near-integer bucket means, and splits each eigenspace between
-    k and p by the trace of the conjugated involution.
+    Eigenvalues of ad(xi) come in pairs +-i*nu; one eigh of -ad(xi)^2
+    shifted by +-c on k and p (see _spectrum_from_ad) gives each nu^2 with
+    its k/p label. The square roots are bucketed with BUCKET_TOL, near
+    integer bucket means snapped, and each bucket's k and p labels counted.
     """
     return _spectrum_from_ad(space, ad_matrix(space, xi, eps))[0]
 
@@ -356,22 +366,17 @@ def is_extrinsically_symmetric_type(space: SpaceInstance, xi, eps: float | None 
 def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSplit:
     """Orthonormal bases of k_plus, p_plus, k_nu, p_nu.
 
-    Works inside coordinates: each frequency cluster of -ad(xi)^2 is split
-    by the eigenvectors of t, the involution on its span that
-    _spectrum_from_ad returns with it (+1 into k, -1 into p), then mapped
-    back to matrices; an empty piece is a (0, N, N) stack.
+    Works inside coordinates: the eigenvectors of the shifted -ad(xi)^2
+    that _spectrum_from_ad diagonalizes already lie in k or in p, so each
+    frequency cluster's k and p columns are mapped back to matrices as
+    they are; an empty piece is a (0, N, N) stack.
     """
     spec, blocks = _spectrum_from_ad(space, ad_matrix(space, xi, eps))
     _require_canonical(space, spec, "cartan_split")
-
-    def split(ub: np.ndarray, t: np.ndarray) -> tuple:
-        tw, tv = np.linalg.eigh((t + t.T) / 2.0)
-        return tuple(
-            np.tensordot((ub @ tv[:, side]).T, space.basis_tensor, axes=1)
-            for side in (tw > 0.0, tw <= 0.0)
-        )
-
-    (k_plus, p_plus), *pieces = (split(*block) for block in blocks)
+    (k_plus, p_plus), *pieces = (
+        tuple(np.tensordot(cols.T, space.basis_tensor, axes=1) for cols in block)
+        for block in blocks
+    )
     return CartanSplit(
         spectrum=spec,
         k_plus=k_plus,

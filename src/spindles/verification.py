@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -179,29 +178,40 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
     return results
 
 
-def exp_agreement_check(space: SpaceInstance, eps: float | None = None) -> CheckResult:
-    """Closed-form exp(t*xi) vs the eigendecomposition route on t = k*pi/6,
-    with one form check and one eigendecomposition of xi for all 25 angles."""
+def _closed_form_scan(space: SpaceInstance, eps: float | None = None) -> tuple:
+    """(angles, exps): t = k*pi/6 for 0 <= k <= 24*cover and the closed-form
+    exp(t*xi) at each, with one form check of xi for all of them. The first
+    25 are the exp scan's angles; all of them are the isotropy scan's."""
+    angles = [RationalAngle(k, 6) for k in range(24 * space.cover_multiplier + 1)]
     xi = canonical_element(space.family)
-    form = space.family.closed_form
-    angles = [RationalAngle(k, 6) for k in range(25)]
-    closed = _exp_structured_many(xi, angles, form, eps)
-    generic = _exp_generic_many(xi, [t.radians for t in angles], eps)
+    return angles, _exp_structured_many(xi, angles, space.family.closed_form, eps)
+
+
+def exp_agreement_check(
+    space: SpaceInstance, eps: float | None = None, scan: tuple | None = None
+) -> CheckResult:
+    """Closed-form exp(t*xi) vs the eigendecomposition route on t = k*pi/6,
+    k <= 24, with one eigendecomposition of xi for all 25 angles; the
+    closed forms are the first 25 of scan (_closed_form_scan when None)."""
+    angles, closed = scan or _closed_form_scan(space, eps)
+    xi = canonical_element(space.family)
+    generic = _exp_generic_many(xi, [t.radians for t in angles[:25]], eps)
     worst = 0.0
-    for a, b in zip(closed, generic):
+    for a, b in zip(closed[:25], generic):
         worst = max(worst, float(np.max(np.abs(a - b))))
     return CheckResult(
         f"{space.family}:exp_closed_form_agrees", worst <= 1e-9, f"max dev {worst:.2e}"
     )
 
 
-def isotropy_scan_check(space: SpaceInstance, eps: float | None = None) -> CheckResult:
+def isotropy_scan_check(
+    space: SpaceInstance, eps: float | None = None, scan: tuple | None = None
+) -> CheckResult:
     """isotropy predicate vs the exact membership rule (from the phases of
-    xi) on t = k*pi/6, with one closed-form check of xi for all angles."""
+    xi) on the angles and closed forms of scan (_closed_form_scan when None)."""
     xi = canonical_element(space.family)
     phases = _rational_phases(np.linalg.eigvalsh(-1j * xi))
-    angles = [RationalAngle(k, 6) for k in range(0, 24 * space.cover_multiplier + 1)]
-    exps = _exp_structured_many(xi, angles, space.family.closed_form, eps)
+    angles, exps = scan or _closed_form_scan(space, eps)
     mismatches = []
     for k, (t, g) in enumerate(zip(angles, exps)):
         got = isotropy_contains(space, g, eps)
@@ -228,23 +238,32 @@ def normalize_recovery_check(space: SpaceInstance, eps: float | None = None) -> 
 def rational_angle_bulk_check(trials: int, seed: int = 20240229) -> CheckResult:
     """Exact trig predicates vs integer arithmetic on random rationals.
 
-    The draws repeat pairs (100,000 of them hold about 47,500 distinct
-    ones), so each pair is checked once and its verdict reused: verdicts[i]
-    for i = (num + 600) * 48 + den - 1 is 0 unchecked, 1 passed, 2 failed."""
-    rng = random.Random(seed)
+    The pairs are random.Random(seed)'s randint(-600, 600), randint(1, 48)
+    stream: randint(a, b) is a + _randbelow(b - a + 1), which redraws
+    getrandbits(11) until it is below 1201 and getrandbits(6) until below
+    48; the loop below makes the same calls without the per-draw wrapper
+    overhead. The draws repeat pairs (100,000 of them hold about 47,500
+    distinct ones), so each pair is checked once and its verdict reused:
+    verdicts[i] for i = (num + 600) * 48 + den - 1 is 0 unchecked, 1
+    passed, 2 failed."""
+    getrandbits = random.Random(seed).getrandbits
     verdicts = bytearray(1201 * 48)
     bad = 0
     first = ""
     for _ in range(trials):
-        num = rng.randint(-600, 600)
-        den = rng.randint(1, 48)
-        slot = (num + 600) * 48 + den - 1
+        r = getrandbits(11)
+        while r >= 1201:
+            r = getrandbits(11)
+        d = getrandbits(6)
+        while d >= 48:
+            d = getrandbits(6)
+        slot = r * 48 + d
         if not verdicts[slot]:
-            verdicts[slot] = 1 if _rational_angle_exact(num, den) else 2
+            verdicts[slot] = 1 if _rational_angle_exact(r - 600, d + 1) else 2
         if verdicts[slot] == 2:
             bad += 1
             if not first:
-                first = f"{num}/{den}"
+                first = f"{r - 600}/{d + 1}"
     return CheckResult(
         "rational_angle_exactness",
         bad == 0,
@@ -254,13 +273,15 @@ def rational_angle_bulk_check(trials: int, seed: int = 20240229) -> CheckResult:
 
 def _rational_angle_exact(num: int, den: int) -> bool:
     """RationalAngle(num, den)'s lattice predicates and exact values agree
-    with integer arithmetic and its sin/cos with math.sin/math.cos."""
+    with integer arithmetic and its sin/cos with math.sin/math.cos. For
+    den >= 1 and g = gcd(num, den), num/den in lowest terms has
+    denominator den/g, and num/den is even iff 2*den divides num."""
     angle = RationalAngle(num, den)
-    f = Fraction(num, den)
-    want_sin_zero = f.denominator == 1
-    want_cos_one = f % 2 == 0
-    want_cos_minus_one = f.denominator == 1 and f.numerator % 2 == 1
-    want_half = f.denominator == 2
+    g = math.gcd(num, den)
+    want_sin_zero = den == g
+    want_cos_one = num % (2 * den) == 0
+    want_cos_minus_one = want_sin_zero and not want_cos_one
+    want_half = den == 2 * g
     got = (
         angle.sin_is_zero == want_sin_zero
         and angle.cos_is_one == want_cos_one
@@ -319,13 +340,15 @@ def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     structural_checks, set the battery's peak memory. The other arrays of
     the battery are smaller: the (P, N, N) pair stacks of the bracket
     checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above), the
-    25 N x N exponentials of the exp scan, the 25 or 49 of the isotropy
-    scan and the dim_g x dim_g ad(xi)."""
+    one list of 25 or 49 N x N closed-form exponentials that the exp scan
+    (its first 25) and the isotropy scan (all) share, and the dim_g x dim_g
+    ad(xi)."""
     space = build_space(family)
     name = str(family)
     results = structural_checks(space, eps)
-    results.append(exp_agreement_check(space, eps))
-    results.append(isotropy_scan_check(space, eps))
+    scan = _closed_form_scan(space, eps)
+    results.append(exp_agreement_check(space, eps, scan))
+    results.append(isotropy_scan_check(space, eps, scan))
     results.append(normalize_recovery_check(space, eps))
 
     xi = canonical_element(family)

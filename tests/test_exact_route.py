@@ -90,6 +90,24 @@ def test_matches_search_on_cap12(family):
     )
 
 
+def fraction_stated_membership(family, phases, t):
+    """The membership rule of stated_membership in Fraction arithmetic, the
+    reference for its integer form."""
+    f = t.fraction
+    turns = sum(w * m for w, m in phases if w > 0) if family._spec.identity_component else 0
+    return all((f * w).denominator == 1 for w, _ in phases) and (f * turns) % 2 == 0
+
+
+@pytest.mark.parametrize("family", list(sweep_families(8)), ids=str)
+def test_integer_rule_matches_fraction_form(family):
+    phases = phases_of(canonical_element(family))
+    for k in range(-48, 49):
+        t = RationalAngle(k, 12)
+        assert stated_membership(family, phases, t) == fraction_stated_membership(
+            family, phases, t
+        ), k
+
+
 @pytest.mark.parametrize("family", list(sweep_families(8)), ids=str)
 def test_rule_matches_old_rules_at_sixths(family):
     phases = phases_of(canonical_element(family))

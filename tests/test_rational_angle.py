@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -41,20 +42,39 @@ class TestExactPredicates:
 
     def test_bulk_million_random_rationals(self):
         # Volume check of the exactness contract: predicates must agree
-        # with integer arithmetic on 10**6 random rationals.
-        rng = random.Random(987654321)
-        for _ in range(1_000_000):
-            num = rng.randint(-10_000, 10_000)
-            den = rng.randint(1, 360)
+        # with integer arithmetic on 10**6 random rationals. For den >= 1
+        # and g = gcd(num, den), num/den in lowest terms has denominator
+        # den/g, and num/den is even iff 2*den divides num.
+        pairs = _randint_pairs(987654321, 1_000_000)
+        head = list(itertools.islice(pairs, 10_000))
+        guard = random.Random(987654321)
+        assert head == [
+            (guard.randint(-10_000, 10_000), guard.randint(1, 360)) for _ in range(10_000)
+        ]
+        for num, den in itertools.chain(head, pairs):
             angle = RationalAngle(num, den)
-            f = Fraction(num, den)
-            assert angle.fraction == f
-            assert angle.sin_is_zero == (f.denominator == 1)
-            assert angle.cos_is_one == (f % 2 == 0)
-            assert angle.cos_is_minus_one == (
-                f.denominator == 1 and f.numerator % 2 == 1
-            )
-            assert angle.is_half_integer == (f.denominator == 2)
+            g = math.gcd(num, den)
+            assert angle.fraction == Fraction(num, den)
+            assert angle.sin_is_zero == (den == g)
+            assert angle.cos_is_one == (num % (2 * den) == 0)
+            assert angle.cos_is_minus_one == (den == g and num % (2 * den) != 0)
+            assert angle.is_half_integer == (den == 2 * g)
+
+
+def _randint_pairs(seed, count):
+    """count pairs (randint(-10_000, 10_000), randint(1, 360)) of
+    random.Random(seed). randint(a, b) is a + _randbelow(b - a + 1), which
+    redraws getrandbits(n.bit_length()) until it is below n: 15 bits below
+    20,001, then 9 bits below 360. The same calls, inlined."""
+    getrandbits = random.Random(seed).getrandbits
+    for _ in range(count):
+        num = getrandbits(15)
+        while num >= 20_001:
+            num = getrandbits(15)
+        den = getrandbits(9)
+        while den >= 360:
+            den = getrandbits(9)
+        yield num - 10_000, den + 1
 
 
 class TestArithmetic:

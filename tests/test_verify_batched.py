@@ -258,3 +258,22 @@ def test_bulk_check_counts_every_failing_draw(monkeypatch):
     num, den = failing[0]
     assert result.detail == f"5000 samples, {len(failing)} bad, first {num}/{den}"
     assert sorted(calls) == sorted(set(draws))
+
+
+def test_bulk_check_draws_randint_stream(monkeypatch):
+    """The battery's default 100,000 draws at seed 20240229 check exactly
+    the distinct pairs of random.Random(20240229)'s randint(-600, 600),
+    randint(1, 48) stream, each once."""
+    calls = []
+
+    def record(num, den):
+        calls.append((num, den))
+        return True
+
+    monkeypatch.setattr(verification, "_rational_angle_exact", record)
+    result = rational_angle_bulk_check(100_000)
+    rng = random.Random(20240229)
+    draws = {(rng.randint(-600, 600), rng.randint(1, 48)) for _ in range(100_000)}
+    assert result.ok
+    assert len(calls) == len(set(calls))
+    assert set(calls) == draws
