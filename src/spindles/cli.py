@@ -39,11 +39,12 @@ from .spaces import (
     sweep_families,
 )
 from .spindle import (
+    _checked_components,
+    _jacobi_sum,
+    _slice_count,
     classify_time,
     closed_form_lambda,
-    jacobi_norm_sq,
     product_spindle,
-    slice_dimension,
     spindle_number,
 )
 from .verification import run_verification
@@ -158,7 +159,10 @@ def cmd_profile(args) -> int:
         raise SpindleError(f"--step must be positive, got {args.step}")
     report = spindle_number(build_space(family), eps=args.eps)
     spec = report.spectrum
-    comps = [1.0] * len(spec.positive_frequencies)
+    # jacobi_norm_sq and slice_dimension per row, with the unit components
+    # and the spectrum's tuples checked and built once for the whole grid.
+    freqs, mults = spec.positive_frequencies, spec.positive_mult_p
+    comps = _checked_components(freqs, [1.0] * len(freqs))
 
     # One row per t = k*step in [0, lambda*pi]: k <= lambda*den/num.
     count = report.lambda_ * step.den // step.num + 1
@@ -169,8 +173,8 @@ def cmd_profile(args) -> int:
     rows = [
         (
             t.over_pi_text,
-            _fmt(jacobi_norm_sq(spec, comps, t)),
-            str(slice_dimension(spec, t, args.eps)),
+            _fmt(_jacobi_sum(freqs, comps, t)),
+            str(_slice_count(freqs, mults, t, args.eps)),
             classify_time(t),
         )
         for t in (step * k for k in range(count))

@@ -75,18 +75,41 @@ def ensure_square(a) -> np.ndarray:
 
 
 def is_anti_hermitian(a, eps: float | None = None) -> bool:
-    m = ensure_square(a)
-    return float(np.max(np.abs(m + m.conj().T))) <= resolve_eps(eps)
+    return _is_anti_hermitian(ensure_square(a), resolve_eps(eps))
 
 
 def is_unitary(a, eps: float | None = None) -> bool:
-    m = ensure_square(a)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) <= resolve_eps(eps)
+    return _is_unitary(ensure_square(a), resolve_eps(eps))
 
 
 def is_real_matrix(a, eps: float | None = None) -> bool:
-    m = ensure_square(a)
-    return float(np.max(np.abs(m.imag))) <= resolve_eps(eps)
+    return _is_real(ensure_square(a), resolve_eps(eps))
+
+
+# The private tests below take a matrix that ensure_square has passed and a
+# resolved tolerance; the public functions above validate and call them.
+
+
+def _is_anti_hermitian(m: np.ndarray, tol: float) -> bool:
+    return float(np.max(np.abs(m + m.conj().T))) <= tol
+
+
+def _is_unitary(m: np.ndarray, tol: float) -> bool:
+    return _scalar_residual(m.conj().T @ m, 1.0) <= tol
+
+
+def _is_real(m: np.ndarray, tol: float) -> bool:
+    return float(np.max(np.abs(m.imag))) <= tol
+
+
+def _scalar_residual(a: np.ndarray, c) -> float:
+    """max |a - c*I| over the entries of the square a, with c subtracted
+    from the diagonal of a copy and no identity built. Each entry is the
+    float a - c*np.eye(n) holds (x - 0 off the diagonal), so the maximum
+    is the same to the bit."""
+    shifted = a.copy()
+    shifted.reshape(-1)[:: a.shape[0] + 1] -= c
+    return float(np.max(np.abs(shifted)))
 
 
 def mat_to_vec(a) -> np.ndarray:
@@ -248,8 +271,12 @@ def _exp_generic_many(a, times, eps: float | None = None) -> list:
 def _eigh_anti_hermitian(a, eps: float | None, caller: str) -> tuple:
     """(w, v) with a = i v diag(w) v*. eigh reads one triangle only, so a
     must pass the anti-Hermitian test first; the refusal names the caller."""
-    m = ensure_square(a)
-    if not is_anti_hermitian(m, eps):
+    return _eigh_trusted(ensure_square(a), resolve_eps(eps), caller)
+
+
+def _eigh_trusted(m: np.ndarray, tol: float, caller: str) -> tuple:
+    """_eigh_anti_hermitian for a matrix that ensure_square has passed."""
+    if not _is_anti_hermitian(m, tol):
         raise NotAntiHermitianError(f"{caller} requires an anti-Hermitian matrix")
     return np.linalg.eigh(-1j * m)
 

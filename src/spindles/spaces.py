@@ -64,9 +64,10 @@ from .errors import (
 )
 from .linalg import (
     RationalAngle,
+    _is_real,
+    _is_unitary,
+    _scalar_residual,
     ensure_square,
-    is_real_matrix,
-    is_unitary,
     mat_to_vec,
     resolve_eps,
 )
@@ -324,7 +325,9 @@ def _half_swap(n: int, blocks: int) -> np.ndarray:
     return 0.5j * xi
 
 
-# Isotropy predicates: membership of a unitary g in K at tolerance tol.
+# Isotropy predicates: membership of a unitary g in K at tolerance tol. g is
+# a square complex matrix of the ambient size that isotropy_contains or the
+# return scan has already validated; no predicate checks it again.
 
 
 def _det_one(g: np.ndarray, tol: float) -> bool:
@@ -340,7 +343,7 @@ def _commutes_diag(g: np.ndarray, s: np.ndarray, tol: float) -> bool:
 def _in_so_times_so(g: np.ndarray, tol: float, p: int, q: int) -> bool:
     """g in SO(p) x SO(q), block diagonal in the signature splitting."""
     return (
-        is_real_matrix(g, tol)
+        _is_real(g, tol)
         and _commutes_diag(g, _signs(p, q), tol)
         and all(_det_one(block, tol) for block in (g[:p, :p], g[p:, p:]))
     )
@@ -364,7 +367,7 @@ def _in_sp_times_sp(g: np.ndarray, tol: float, n: int) -> bool:
 
 def _squares_to_one(g: np.ndarray, tol: float, *_) -> bool:
     """Group families: exp(t xi) = exp(-t xi) iff g^2 = I."""
-    return float(np.max(np.abs(g @ g - np.eye(g.shape[0])))) <= tol
+    return _scalar_residual(g @ g, 1.0) <= tol
 
 
 def _phase_lambda(p: int, q: int) -> int:
@@ -386,7 +389,7 @@ _PAIRS = {
         space_name=lambda p, q: f"SU({p + q})/SO({p + q})",
         orbit_name=lambda p, q: f"SO({p + q})/S(O({p})xO({q}))",
         closed_form="diagonal-phase", canonical=_phase_element,
-        isotropy=lambda g, tol, p, q: is_real_matrix(g, tol) and _det_one(g, tol),
+        isotropy=lambda g, tol, p, q: _is_real(g, tol) and _det_one(g, tol),
         table_lambda=_phase_lambda,
         center=lambda p, q: (
             (3, "isometry group SU(6)/Z_2 has center of order 3") if p + q == 6 else _no_center()
@@ -445,7 +448,7 @@ _PAIRS = {
         orbit_name=lambda n: f"U({2 * n})/Sp({n})",
         closed_form="half-angle",
         canonical=lambda n: 0.5 * _block_diag(_j_matrix(n), -_j_matrix(n)),
-        isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _j_intertwines(g, g, tol),
+        isotropy=lambda g, tol, n: _is_real(g, tol) and _j_intertwines(g, g, tol),
         table_lambda=lambda n: 2,
     ),
     "CI": FamilySpec(
@@ -456,7 +459,7 @@ _PAIRS = {
         space_name=lambda n: f"Sp({n})/U({n})",
         orbit_name=lambda n: f"U({n})/SO({n})",
         closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
-        isotropy=lambda g, tol, n: is_real_matrix(g, tol) and _j_intertwines(g, g, tol),
+        isotropy=lambda g, tol, n: _is_real(g, tol) and _j_intertwines(g, g, tol),
         table_lambda=lambda n: 2,
     ),
     "CII": FamilySpec(
@@ -646,7 +649,10 @@ class SpaceInstance:
 
     def _matrix(self, x) -> np.ndarray:
         """x as a square matrix of the ambient size."""
-        m = ensure_square(x)
+        return self._sized(ensure_square(x))
+
+    def _sized(self, m: np.ndarray) -> np.ndarray:
+        """m, a matrix that ensure_square has passed, if it has the ambient size."""
         if m.shape[0] != self.ambient_dim:
             raise DimensionMismatchError(
                 f"{self.family}: expected size {self.ambient_dim}, got {m.shape[0]}"
@@ -673,17 +679,22 @@ class SpaceInstance:
     def algebra_residual(self, x) -> float:
         """Max-norm distance from x to g, through the algebra's orthogonal
         projector (the closed form of from_coords(to_coords(x)))."""
-        m = self._matrix(x)
+        return self._residual(self._matrix(x))
+
+    def _residual(self, m: np.ndarray) -> float:
         return float(np.max(np.abs(m - self.family._spec.project(m))))
 
     def contains_tangent(self, x, eps: float | None = None) -> bool:
         """True iff x lies in p: in the algebra and sigma(x) = -x."""
         tol = resolve_eps(eps)
-        m = self._matrix(x)
+        return self._tangent(self._matrix(x), tol)
+
+    def _tangent(self, m: np.ndarray, tol: float) -> bool:
+        """contains_tangent for a matrix that _matrix has passed."""
         bound = tol * (1.0 + float(np.max(np.abs(m))))
-        if self.algebra_residual(m) > bound:
+        if self._residual(m) > bound:
             return False
-        return float(np.max(np.abs(self.apply_sigma(m) + m))) <= bound
+        return float(np.max(np.abs(self._sigma(m) + m))) <= bound
 
     def __repr__(self) -> str:
         return (
@@ -724,7 +735,7 @@ def isotropy_contains(space: SpaceInstance, g, eps: float | None = None) -> bool
     families: the condition g^2 = I equivalent to exp(t xi) = exp(-t xi))."""
     tol = resolve_eps(eps)
     m = space._matrix(g)
-    if not is_unitary(m, tol):
+    if not _is_unitary(m, tol):
         raise NotUnitaryError(f"{space.family}: isotropy test requires a unitary matrix")
     family = space.family
     return family._spec.isotropy(m, tol, *family.params)

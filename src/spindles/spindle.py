@@ -28,12 +28,19 @@ and memory). ad_spectrum and cartan_split share one eigh, of -ad(xi)^2
 shifted by +c on k and -c on p: its eigenvalues give the frequencies,
 their signs the k/p multiplicities, and its eigenvectors the pieces
 k_nu and p_nu.
+
+Public functions validate their input; private helpers trust it. A public
+entry point coerces xi once with ensure_square, checks its size and
+tangency, and hands the array down; the helpers below it (_return_scan,
+_adjoint_flags, _report_checks, the isotropy predicates) check nothing
+again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,12 +61,12 @@ from .errors import (
 from .linalg import (
     PHASE_TOL,
     RationalAngle,
-    _eigh_anti_hermitian,
+    _eigh_trusted,
     _exp_eigh,
-    _over_pi_text,
+    _is_unitary,
+    _scalar_residual,
     ensure_square,
     exp_generic,
-    is_unitary,
     mat_to_vec,
     rationalize,
     resolve_eps,
@@ -137,7 +144,10 @@ class CartanSplit:
 
 
 def _require_tangent(space: SpaceInstance, m: np.ndarray, eps: float | None) -> None:
-    if not space.contains_tangent(m, eps):
+    """Refuse m, a matrix that ensure_square has passed, unless it has the
+    ambient size and lies in p."""
+    tol = resolve_eps(eps)
+    if not space._tangent(space._sized(m), tol):
         raise NotInTangentSpaceError(
             f"{space.family}: element is not in the (-1) eigenspace of the involution"
         )
@@ -396,6 +406,13 @@ def jacobi_norm_sq(spec: AdSpectrum, components: Sequence, t) -> float:
     orthogonal). t may be a float or a RationalAngle; with a rational t
     and integer frequencies the sines at lattice points are exact."""
     freqs = spec.positive_frequencies
+    comps = _checked_components(freqs, components)
+    return _jacobi_sum(freqs, comps, _finite_time(t))
+
+
+def _checked_components(freqs: tuple, components: Sequence) -> list:
+    """components as floats, one per positive frequency in freqs, finite,
+    non-negative and not all zero; else the error jacobi_norm_sq raises."""
     comps = [float(c) for c in components]
     if len(comps) != len(freqs):
         raise DimensionMismatchError(
@@ -407,8 +424,12 @@ def jacobi_norm_sq(spec: AdSpectrum, components: Sequence, t) -> float:
         raise ParameterError("component norms must be non-negative")
     if not any(c > 0 for c in comps):
         raise ParameterError("at least one component norm must be positive")
-    t = _finite_time(t)
+    return comps
 
+
+def _jacobi_sum(freqs: tuple, comps: list, t) -> float:
+    """jacobi_norm_sq for components that _checked_components has passed
+    and t as _finite_time gives it."""
     total = 0.0
     for freq, comp in zip(freqs, comps):
         if comp == 0.0:
@@ -445,9 +466,15 @@ def slice_dimension(spec: AdSpectrum, t, eps: float | None = None) -> int:
     passes its spectrum."""
     t = _finite_time(t)
     tol = resolve_eps(eps)
+    return _slice_count(spec.positive_frequencies, spec.positive_mult_p, t, tol)
+
+
+def _slice_count(freqs: tuple, mults: tuple, t, tol: float) -> int:
+    """slice_dimension for the positive frequencies and their dim p_nu, t as
+    _finite_time gives it and a resolved tolerance."""
     rational = isinstance(t, RationalAngle)
     total = 0
-    for freq, mult in zip(spec.positive_frequencies, spec.positive_mult_p):
+    for freq, mult in zip(freqs, mults):
         k = _integer(freq) if rational else None
         if k is not None:
             total += mult if (t.num * k) % t.den else 0
@@ -502,8 +529,9 @@ def method_numeric(space: SpaceInstance, xi, eps: float | None = None) -> int:
     therefore tests only the divisors of n_max, in ascending order, each
     by its exponential and the isotropy predicate. xi must lie in p."""
     tol = resolve_eps(eps)
-    w, v = _eigh_anti_hermitian(xi, tol, "method_numeric")
-    _require_tangent(space, xi, tol)
+    m = ensure_square(xi)
+    w, v = _eigh_trusted(m, tol, "method_numeric")
+    _require_tangent(space, m, tol)
     return _return_scan(space, w, v, _exp_eigh(w, v, math.pi), _rational_phases(w), tol)
 
 
@@ -548,7 +576,7 @@ def _return_scan(space: SpaceInstance, w, v, g, phases, tol: float) -> int:
     directly."""
     family = space.family
     n_max = 2 * _phase_lcm(phases)
-    if not is_unitary(space._matrix(v), tol):
+    if not _is_unitary(v, tol):
         raise NotUnitaryError(f"{family}: the return scan requires a unitary eigenbasis")
     for n in _divisors(n_max):
         candidate = g if n == 1 else _exp_eigh(w, v, n * math.pi)
@@ -582,8 +610,7 @@ def center_divisibility_check(lam: int, z: int) -> bool:
 
 def _is_scalar(a: np.ndarray, tol: float) -> bool:
     """True iff a is within tol of c*I, c the mean of its diagonal."""
-    n = a.shape[0]
-    return float(np.max(np.abs(a - np.trace(a) / n * np.eye(n)))) <= tol
+    return _scalar_residual(a, np.trace(a) / a.shape[0]) <= tol
 
 
 def adjoint_conjugation_flags(space: SpaceInstance, xi, eps: float | None = None) -> tuple:
@@ -602,14 +629,21 @@ def adjoint_conjugation_flags(space: SpaceInstance, xi, eps: float | None = None
     g* sigma(g) = g^-2 and the two flags are the same condition; both are
     still computed, each from its own definition."""
     tol = resolve_eps(eps)
-    return _adjoint_flags(space, exp_generic(xi, math.pi, tol), tol)
+    return _adjoint_flags(space, space._sized(exp_generic(xi, math.pi, tol)), tol)
 
 
 def _adjoint_flags(space: SpaceInstance, g: np.ndarray, tol: float) -> tuple:
-    """adjoint_conjugation_flags for the given g = exp(pi*xi)."""
+    """adjoint_conjugation_flags for the given g = exp(pi*xi) of the ambient size."""
     order_two = _is_scalar(g @ g, tol)
-    commutes = _is_scalar(g.conj().T @ space.apply_sigma(g), tol)
+    commutes = _is_scalar(g.conj().T @ space._sigma(g), tol)
     return order_two, commutes
+
+
+# The text of k/12 (k >= 0) by k mod 12, as _over_pi_text(k, 12) writes it:
+# with g = gcd(k, 12), f"{k // g}" and, unless g is 12, "/{12 // g}".
+_TWELFTHS = tuple(
+    (math.gcd(r, 12), "" if r == 0 else f"/{12 // math.gcd(r, 12)}") for r in range(12)
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -674,23 +708,38 @@ class SpindleReport:
             "knot_times": [f"{n}/1 pi" for n in range(lam)],
             "centriole_times": [f"{2 * n + 1}/2 pi" for n in range(lam)],
             "slice_profile": [
-                {"t_over_pi": _over_pi_text(k, 12), "dim": dim}
-                for k, dim in enumerate(self._profile_dims())
+                {"t_over_pi": f"{k // g}{suffix}", "dim": dim}
+                for k, (dim, (g, suffix)) in enumerate(zip(self._profile_dims(), cycle(_TWELFTHS)))
             ],
             "geodesic_length_over_norm": f"{lam}/1 pi",
             "checks": dict(self.checks),
         }
 
 
-def _symmetric_about(values: np.ndarray, centers) -> bool:
-    """True iff values are mirror-symmetric about each center index, as far
-    as the array reaches on both sides of it."""
-    for c in centers:
-        r = min(c, len(values) - 1 - c)
-        window = values[c - r : c + r + 1]
-        if not np.array_equal(window, window[::-1]):
-            return False
-    return True
+# The report checks' grid: sixtieths of pi over +-4 periods, index i is
+# t = (i - 240)*pi/60; knots at the multiples of 60, centrioles halfway.
+_GRID_K = np.arange(-240, 241)
+_GRID_KNOT = _GRID_K % 60 == 0
+_GRID_T = _GRID_K[:, None] * math.pi / 60.0
+
+
+def _mirror_pairs(centers) -> tuple:
+    """(left, right): the grid indices c - j and c + j, j >= 1, about each
+    center c, as far as the grid reaches on both sides of it."""
+    last = len(_GRID_K) - 1
+    left, right = zip(*((c - j, c + j) for c in centers for j in range(1, min(c, last - c) + 1)))
+    return np.array(left), np.array(right)
+
+
+_KNOT_PAIRS = _mirror_pairs(range(0, 481, 60))
+_CENTRIOLE_PAIRS = _mirror_pairs(range(30, 481, 60))
+
+
+def _symmetric_about(values: np.ndarray, pairs: tuple) -> bool:
+    """True iff values are mirror-symmetric about each center of pairs
+    (_KNOT_PAIRS or _CENTRIOLE_PAIRS), as far as the grid reaches."""
+    left, right = pairs
+    return bool(np.array_equal(values[left], values[right]))
 
 
 def _report_checks(space, g, spec, lam, ext_sym, exact, numeric, tol: float) -> dict:
@@ -709,24 +758,21 @@ def _report_checks(space, g, spec, lam, ext_sym, exact, numeric, tol: float) -> 
     else:
         checks["center_divides_double"] = center_divisibility_check(lam, space.center_order)
 
-    # Knot lattice and slice profile on one grid: sixtieths of pi over
-    # +-4 periods (index i is t = (i - 240)*pi/60). With unit components the
-    # variation norm vanishes exactly on pi*Z; a slice counts dim p_nu for
-    # each frequency with |sin(nu t)| > tol.
-    k = np.arange(-240, 241)
-    knot = k % 60 == 0
+    # Knot lattice and slice profile on the _GRID_T grid. With unit
+    # components the variation norm vanishes exactly on pi*Z; a slice counts
+    # dim p_nu for each frequency with |sin(nu t)| > tol.
     nu = np.array(spec.positive_frequencies)
-    sines = np.sin(nu * (k[:, None] * math.pi / 60.0))
+    sines = np.sin(nu * _GRID_T)
     jacobi = (sines * sines / (nu * nu)).sum(axis=1)
     dims = (np.abs(sines) > tol) @ np.array(spec.positive_mult_p, dtype=int)
-    checks["jacobi_zero_iff_knot"] = bool(np.array_equal(jacobi <= 1e-15, knot))
-    checks["slice_zero_iff_knot"] = bool(np.array_equal(dims == 0, knot))
+    checks["jacobi_zero_iff_knot"] = bool(np.array_equal(jacobi <= 1e-15, _GRID_KNOT))
+    checks["slice_zero_iff_knot"] = bool(np.array_equal(dims == 0, _GRID_KNOT))
     checks["slice_constant_between_knots"] = (
         bool(np.all(dims[241:300] == spec.orbit_dim)) if ext_sym else None
     )
-    checks["profile_symmetric_about_knots"] = _symmetric_about(dims, range(0, 481, 60))
+    checks["profile_symmetric_about_knots"] = _symmetric_about(dims, _KNOT_PAIRS)
     checks["profile_symmetric_about_centrioles"] = (
-        _symmetric_about(dims, range(30, 481, 60)) if ext_sym else None
+        _symmetric_about(dims, _CENTRIOLE_PAIRS) if ext_sym else None
     )
     return checks
 
@@ -736,16 +782,18 @@ def spindle_number(space: SpaceInstance, xi=None, eps: float | None = None) -> S
     canonical element. The exact and numeric methods must agree.
 
     eps is resolved once here (None reads SPINDLE_EPS) and passed down as
-    a float. One eigendecomposition xi = i v diag(w) v* gives the
-    spectrum (from root data), the rational eigenphases (each cluster of w
-    rationalized once), which the exact route and the return scan's bound
-    share, the return scan and g = exp(pi*xi), so the analysis is O(N^3)
-    after build_space."""
+    a float; xi is coerced by ensure_square once, its size and tangency
+    checked, and the array passed down. One eigendecomposition
+    xi = i v diag(w) v* gives the spectrum (from root data), the rational
+    eigenphases (each cluster of w rationalized once), which the exact
+    route and the return scan's bound share, the return scan and
+    g = exp(pi*xi), so the analysis is O(N^3) after build_space."""
     tol = resolve_eps(eps)
     if xi is None:
         xi = canonical_element(space.family)
-    _require_tangent(space, xi, tol)
-    w, v = _eigh_anti_hermitian(xi, tol, "spindle_number")
+    m = ensure_square(xi)
+    _require_tangent(space, m, tol)
+    w, v = _eigh_trusted(m, tol, "spindle_number")
 
     spec, ext_sym = _root_spectrum(space, w, tol)
     _require_canonical(space, spec, "spindle_number")
