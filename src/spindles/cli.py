@@ -159,8 +159,7 @@ def cmd_profile(args) -> int:
         raise SpindleError(f"--step must be positive, got {args.step}")
     report = spindle_number(build_space(family), eps=args.eps)
     spec = report.spectrum
-    # jacobi_norm_sq and slice_dimension per row, with the unit components
-    # and the spectrum's tuples checked and built once for the whole grid.
+    # jacobi_norm_sq and slice_dimension per row, the unit components checked once.
     freqs, mults = spec.positive_frequencies, spec.positive_mult_p
     comps = _checked_components(freqs, [1.0] * len(freqs))
 

@@ -139,6 +139,17 @@ def _over_pi_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+def _sin_pi(num: int, den: int) -> float:
+    """sin((num/den)*pi), den >= 1, reduced or not: exact 0.0 where den | num,
+    +-1.0 where den | 2*num only, else the sine of pi times (num mod 2*den)/den,
+    an int / int that rounds correctly, as float(Fraction(num, den) % 2) does."""
+    if num % den == 0:
+        return 0.0
+    if 2 * num % den == 0:
+        return 1.0 if 2 * num // den % 4 == 1 else -1.0
+    return math.sin(math.pi * ((num % (2 * den)) / den))
+
+
 @dataclass(frozen=True, slots=True)
 class RationalAngle:
     """The angle (num/den) * pi, stored in lowest terms with den >= 1.
@@ -206,25 +217,15 @@ class RationalAngle:
     def is_half_integer(self) -> bool:
         return self.den == 2
 
-    def _mod2(self) -> float:
-        """The angle over pi reduced to [0, 2). In lowest terms, the integer
-        remainder over den is the same rational as Fraction(num, den) % 2,
-        and int / int rounds it correctly, as float(Fraction) does."""
-        return (self.num % (2 * self.den)) / self.den
-
     def sin(self) -> float:
-        if self.den == 1:
-            return 0.0
-        if self.den == 2:
-            return 1.0 if self.num % 4 == 1 else -1.0
-        return math.sin(math.pi * self._mod2())
+        return _sin_pi(self.num, self.den)
 
     def cos(self) -> float:
         if self.den == 1:
             return 1.0 if self.num % 2 == 0 else -1.0
         if self.den == 2:
             return 0.0
-        return math.cos(math.pi * self._mod2())
+        return math.cos(math.pi * ((self.num % (2 * self.den)) / self.den))
 
     # Exact arithmetic on (num, den); scalars are an int or a Fraction, read
     # through .numerator and .denominator. The constructor reduces the result.

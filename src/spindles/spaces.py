@@ -606,11 +606,11 @@ class SpaceInstance:
     basis_tensor is the orthonormal basis of g as a (dim_g, N, N) array,
     filled by one scatter from the algebra's index tables; basis_vecs holds
     the matching real flattenings, so coordinates of X in the basis are
-    basis_vecs @ mat_to_vec(X); and sigma_coords is the involution in those
-    coordinates. Their readers are to_coords, from_coords, the d x d route
-    of the spindle module (ad_matrix and its callers) and verify's
-    structural checks. dim_g, k_dim, p_dim, the tangency test and
-    spindle_number need none of it."""
+    basis_vecs @ mat_to_vec(X); sigma_coords is the involution in those
+    coordinates and sigma_eigh its eigh, the one dim_g x dim_g eigensolve.
+    Their readers are to_coords, from_coords, the d x d route of the spindle
+    module (ad_matrix and its callers) and verify's structural checks.
+    dim_g, k_dim, p_dim, the tangency test and spindle_number need none."""
 
     family: SpaceFamily
     ambient_dim: int
@@ -646,6 +646,12 @@ class SpaceInstance:
                 f"not {self.k_dim}"
             )
         return coords
+
+    @cached_property
+    def sigma_eigh(self) -> tuple:
+        """eigh of the symmetrized sigma_coords, unchecked: verify reports a
+        corrupted sigma_coords, and the d x d spectrum route refuses it."""
+        return np.linalg.eigh((self.sigma_coords + self.sigma_coords.T) / 2.0)
 
     def _matrix(self, x) -> np.ndarray:
         """x as a square matrix of the ambient size."""

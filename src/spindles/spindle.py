@@ -23,11 +23,10 @@ basis; spindle_number's one eigendecomposition of xi also serves its
 numeric scan and exp(pi*xi). ad_matrix, ad_spectrum, cartan_split and
 is_extrinsically_symmetric_type work on the matrix of ad(xi) on g
 instead; they are the independent second route, and the first call of
-one on a space builds its basis and sigma_coords (O(dim g^2 N^2) time
-and memory). ad_spectrum and cartan_split share one eigh, of -ad(xi)^2
-shifted by +c on k and -c on p: its eigenvalues give the frequencies,
-their signs the k/p multiplicities, and its eigenvectors the pieces
-k_nu and p_nu.
+one on a space builds its basis (O(dim g^2 N^2) time and memory).
+ad_spectrum and cartan_split take bases of k and p from the space's
+sigma_eigh, which verify's graded-closure check shares; one SVD of ad(xi)
+from k to p gives the frequencies and the pieces k_nu and p_nu.
 
 Public functions validate their input; private helpers trust it. A public
 entry point coerces xi once with ensure_square, checks its size and
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import cycle
 from typing import Mapping, Sequence
 
@@ -65,6 +65,7 @@ from .linalg import (
     _exp_eigh,
     _is_unitary,
     _scalar_residual,
+    _sin_pi,
     ensure_square,
     exp_generic,
     mat_to_vec,
@@ -79,10 +80,10 @@ from .spaces import (
     stated_membership,
 )
 
-# Frequencies are eigenvalues of a symmetric matrix of desk-scale size;
-# bucketing is looser than the global eps because eigensolver error grows
-# with dim g. Zero detection is looser still: near-zero eigenvalues of
-# ad(xi)^2 pass through a square root that amplifies roundoff.
+# Frequencies are singular values or root-rule images of eigenvalues, with
+# no square root between. At the 203 cap-8 canonical elements the SVD's zero
+# cluster reaches 7.2e-16 and its positive values lie within 8.9e-16 of
+# integers (tests/test_shifted_spectrum.py::test_svd_margins).
 BUCKET_TOL = 1e-6
 ZERO_FREQ_TOL = 1e-5
 
@@ -98,7 +99,7 @@ PHASE_CLUSTER_TOL = 1e-9
 @dataclass(frozen=True)
 class AdSpectrum:
     """Distinct frequencies nu_0 = 0 < nu_1 < ... of ad(xi) with the
-    dimension each eigenspace contributes to k and to p."""
+    dimension each eigenspace contributes to k and to p; views are cached."""
 
     frequencies: tuple
     mult_k: tuple
@@ -108,11 +109,11 @@ class AdSpectrum:
         if not (len(self.frequencies) == len(self.mult_k) == len(self.mult_p)):
             raise DimensionMismatchError("spectrum fields must have equal length")
 
-    @property
+    @cached_property
     def positive_frequencies(self) -> tuple:
         return tuple(nu for nu in self.frequencies if nu > 0)
 
-    @property
+    @cached_property
     def positive_mult_p(self) -> tuple:
         return tuple(m for nu, m in zip(self.frequencies, self.mult_p) if nu > 0)
 
@@ -124,7 +125,7 @@ class AdSpectrum:
     def dim_p(self) -> int:
         return int(sum(self.mult_p))
 
-    @property
+    @cached_property
     def orbit_dim(self) -> int:
         """dim p_minus, the tangent dimension of the isotropy orbit."""
         return int(sum(self.positive_mult_p))
@@ -204,37 +205,30 @@ def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
     frequency cluster as _frequency_clusters groups them, the block (uk, up)
     of orthonormal coordinate columns spanning its k part and its p part.
 
-    One eigh splits both. For xi in p, ad(xi) swaps k and p, so -ad(xi)^2
-    commutes with sigma, and M = -ad(xi)^2 + c*sigma_coords, with c one
-    more than the largest absolute row sum of -ad(xi)^2 (a bound on its
-    eigenvalues nu^2), has the eigenvalue nu^2 + c >= 1 on k_nu and
-    nu^2 - c <= -1 on p_nu. The sign of each eigenvalue mu is its k/p
-    label, and nu is sqrt(mu - c) on k, sqrt(mu + c) on p. By Weyl's
-    inequality every orthogonal involution keeps the eigenvalues of M at
-    least 1 away from 0; one within 1/2 of 0 is refused, as sigma_coords
-    is then not such an involution."""
-    sq = -(admat @ admat)
-    sq = (sq + sq.T) / 2.0
-    c = 1.0 + float(np.max(np.sum(np.abs(sq), axis=1)))
-    w, u = np.linalg.eigh(sq + c * space.sigma_coords)
-    if np.any(np.abs(w) < 0.5):
+    The eigenvectors uk of sigma_coords (space.sigma_eigh) with eigenvalue
+    +1 span k, those up with -1 span p. For xi in p, ad(xi) maps k_nu onto
+    p_nu and back, so the block up^T ad(xi) uk has the frequencies as
+    singular values, and its right and left singular vectors span the k_nu
+    and the p_nu. The zero cluster takes the rest: mult_k(0) = k_dim - rank
+    and mult_p(0) = p_dim - rank. An eigenvalue of sigma_coords farther
+    than 1/2 from +-1 is refused: sigma_coords is no orthogonal involution."""
+    ew, ev = space.sigma_eigh
+    off = np.abs(np.abs(ew) - 1.0)
+    if np.any(off > 0.5):
         raise SpectrumBucketingError(
-            f"{space.family}: shifted eigenvalue {w[np.argmin(np.abs(w))]} within 1/2 of 0; "
-            "sigma_coords is not an orthogonal involution commuting with ad(xi)^2"
+            f"{space.family}: sigma_coords has the eigenvalue {ew[np.argmax(off)]}, "
+            "farther than 1/2 from +-1; it is not an orthogonal involution"
         )
-    in_k = w > 0.0
-    nu = np.sqrt(np.clip(np.where(in_k, w - c, w + c), 0.0, None))
-    order = np.argsort(nu, kind="stable")
-    frequencies, column_groups = _frequency_clusters(space, nu[order])
-
-    blocks = []
-    for group in column_groups:
-        cols = order[group]
-        blocks.append((u[:, cols[in_k[cols]]], u[:, cols[~in_k[cols]]]))
-
-    mult_k = tuple(uk.shape[1] for uk, _ in blocks)
-    mult_p = tuple(up.shape[1] for _, up in blocks)
-    spec = AdSpectrum(tuple(frequencies), mult_k, mult_p)
+    uk, up = ev[:, ew > 0], ev[:, ew < 0]
+    y, sv, zt = np.linalg.svd(up.T @ admat @ uk)
+    # sv descends: ascending position i is index n - 1 - i, zeros at the tail.
+    n = len(sv)
+    frequencies, column_groups = _frequency_clusters(space, sv[::-1])
+    rank = n - len(column_groups[0])
+    blocks = [(uk @ zt[rank:].T, up @ y[:, rank:])]
+    blocks += [(uk @ zt[n - 1 - cols].T, up @ y[:, n - 1 - cols]) for cols in column_groups[1:]]
+    sizes = [len(cols) for cols in column_groups[1:]]
+    spec = AdSpectrum(tuple(frequencies), (len(zt) - rank, *sizes), (len(y) - rank, *sizes))
     if spec.dim_k != space.k_dim or spec.dim_p != space.p_dim:
         raise SpectrumBucketingError(
             f"{space.family}: multiplicities sum to ({spec.dim_k}, {spec.dim_p}), "
@@ -279,10 +273,10 @@ def _root_spectrum(space: SpaceInstance, w: np.ndarray, tol: float) -> tuple:
 def ad_spectrum(space: SpaceInstance, xi, eps: float | None = None) -> AdSpectrum:
     """Frequencies of ad(xi) with k/p multiplicities.
 
-    Eigenvalues of ad(xi) come in pairs +-i*nu; one eigh of -ad(xi)^2
-    shifted by +-c on k and p (see _spectrum_from_ad) gives each nu^2 with
-    its k/p label. The square roots are bucketed with BUCKET_TOL, near
-    integer bucket means snapped, and each bucket's k and p labels counted.
+    The nu of the eigenvalues +-i*nu of ad(xi) are its singular values
+    from k to p (see _spectrum_from_ad; the first call on a space builds
+    its basis and sigma_eigh), bucketed with BUCKET_TOL, near integer
+    bucket means snapped, and each bucket's k and p singular vectors counted.
     """
     return _spectrum_from_ad(space, ad_matrix(space, xi, eps))[0]
 
@@ -376,10 +370,10 @@ def is_extrinsically_symmetric_type(space: SpaceInstance, xi, eps: float | None 
 def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSplit:
     """Orthonormal bases of k_plus, p_plus, k_nu, p_nu.
 
-    Works inside coordinates: the eigenvectors of the shifted -ad(xi)^2
-    that _spectrum_from_ad diagonalizes already lie in k or in p, so each
-    frequency cluster's k and p columns are mapped back to matrices as
-    they are; an empty piece is a (0, N, N) stack.
+    Works inside coordinates, built as for ad_spectrum: the singular
+    vectors of _spectrum_from_ad already lie in k or in p, so each cluster's
+    k and p columns are mapped back to matrices as they are; an empty piece
+    is a (0, N, N) stack.
     """
     spec, blocks = _spectrum_from_ad(space, ad_matrix(space, xi, eps))
     _require_canonical(space, spec, "cartan_split")
@@ -451,11 +445,11 @@ def _finite_time(t):
 
 def _sin_at(freq: float, t) -> float:
     """sin(freq*t) for t as _finite_time gives it, exact at rational t and an
-    integer frequency."""
+    integer frequency k, from the integers t.num*k and t.den."""
     if not isinstance(t, RationalAngle):
         return math.sin(freq * t)
     k = _integer(freq)
-    return math.sin(freq * t.radians) if k is None else (t * k).sin()
+    return math.sin(freq * t.radians) if k is None else _sin_pi(t.num * k, t.den)
 
 
 def slice_dimension(spec: AdSpectrum, t, eps: float | None = None) -> int:

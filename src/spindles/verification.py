@@ -99,11 +99,11 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
     """Basis/involution/bracket invariants for one space.
 
     Besides the basis data of the space (basis_tensor, basis_vecs,
-    sigma_coords), each bracket check builds (P, N, N) stacks for its P
-    sampled pairs only: the two factors, their brackets and what the check
-    compares them with (the coordinate round trip, the brackets of the
-    sigma images). The graded check takes its factors from the sigma
-    eigenvectors that the pairs index, not from all dim_g of them."""
+    sigma_coords, sigma_eigh), each bracket check builds (P, N, N) stacks
+    for its P sampled pairs only: the two factors, their brackets and what
+    the check compares them with (the coordinate round trip, the brackets
+    of the sigma images). The graded check takes its factors from the
+    sigma eigenvectors that the pairs index, not from all dim_g of them."""
     tol = resolve_eps(eps)
     name = str(space.family)
     results = []
@@ -159,7 +159,7 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
 
     # Graded closure: brackets of sigma eigenvectors land in the right
     # eigenspace ([k,k] and [p,p] in k, [k,p] in p).
-    ew, ev = np.linalg.eigh((s + s.T) / 2.0)
+    ew, ev = space.sigma_eigh
     signs = np.where(ew > 0.0, 1.0, -1.0)
     i, j = _pairs(space.dim_g, seed=1)
     br = _brackets(
@@ -336,13 +336,13 @@ def product_pair_checks(lambdas: dict) -> list:
 def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     """(results, lambda or None) of the battery for one family. The space
     is local here, so its basis is freed before the next family's is built;
-    the basis and sigma_coords of the largest space, built on first use by
-    structural_checks, set the battery's peak memory. The other arrays of
-    the battery are smaller: the (P, N, N) pair stacks of the bracket
+    the basis data of the largest space, built on first use by
+    structural_checks, sets the battery's peak memory. Its sigma_eigh is
+    the one dim_g x dim_g eigensolve; ad_spectrum adds a p_dim x k_dim SVD.
+    The other arrays are smaller: the (P, N, N) pair stacks of the bracket
     checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above), the
     one list of 25 or 49 N x N closed-form exponentials that the exp scan
-    (its first 25) and the isotropy scan (all) share, and the dim_g x dim_g
-    ad(xi)."""
+    (its first 25) and the isotropy scan (all) share, and ad(xi)."""
     space = build_space(family)
     name = str(family)
     results = structural_checks(space, eps)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spindles import spaces
+from spindles import cli, spaces
 from spindles.cli import main
 from spindles.errors import DimensionMismatchError, SpindleError
 from spindles.linalg import exp_generic
@@ -22,7 +22,7 @@ from test_golden import LARGE_FAMILIES
 from test_spectrum import CAP6, k_element, p_element, small_family
 
 EPS = 1e-9
-BASIS_KEYS = {"basis_tensor", "basis_vecs", "sigma_coords"}
+BASIS_KEYS = {"basis_tensor", "basis_vecs", "sigma_coords", "sigma_eigh"}
 
 
 def basis_residual(space, m) -> float:
@@ -91,6 +91,7 @@ class TestLazyBasis:
         assert calls == []
         coords = space.to_coords(canonical_element(family))
         space.from_coords(space.sigma_coords @ coords)
+        assert space.sigma_eigh is space.sigma_eigh
         assert space.basis_tensor is space.basis_tensor
         assert BASIS_KEYS <= set(vars(space))
         assert calls == [space.ambient_dim]
@@ -182,6 +183,23 @@ class TestNoBasisAtScale:
         xi = canonical_element(family)
         assert float(np.max(np.abs(normalize_canonical(space, 3.0 * xi, EPS) - xi))) <= 1e-12
         assert not BASIS_KEYS & set(vars(space))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--cap", "3"], ["analyze", "AII", "2", "3"], ["profile", "CII", "2", "--step", "1/4"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_cli_builds_no_basis_data(self, monkeypatch, capsys, argv):
+        built = []
+
+        def recorded(family):
+            built.append(build_space(family))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_space", recorded)
+        assert main(argv) == 0
+        assert built
+        assert not any(BASIS_KEYS & set(vars(space)) for space in built)
 
     def test_analyze_n200(self, no_basis, capsys):
         assert main(["analyze", "AI", "100", "100"]) == 0

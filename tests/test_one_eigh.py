@@ -4,9 +4,11 @@ spindle_number diagonalizes xi once and reads the spectrum, the return
 scan and exp(pi*xi) from it; the pi/12 slice profile comes from the
 integer frequencies in one array pass; normalize_canonical takes its
 frequencies from root data; the verify scans check and rationalize the
-closed form once per space. The oracles below are the earlier code,
-kept verbatim apart from names: the per-point slice_dimension profile,
-the d x d normalize_canonical and the single-angle exp_structured.
+closed form once per space; a verify pass diagonalizes sigma_coords once
+per space, for its graded-closure check and its d x d spectrum alike.
+The oracles below are the earlier code, kept verbatim apart from names:
+the per-point slice_dimension profile, the d x d normalize_canonical and
+the single-angle exp_structured.
 """
 
 import math
@@ -15,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spindles import linalg, spindle
+from spindles import linalg, spindle, verification
 from spindles.errors import (
     DegenerateElementError,
     FormIdentityError,
@@ -240,6 +242,36 @@ class TestOneEigendecomposition:
         assert len(calls) == 2
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """(name, shape, dtype kind) of every np.linalg.eigh/eigvalsh/svd call."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.shape(a), np.asarray(a).dtype.kind))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestOneInvolutionEigensolve:
+    @pytest.mark.parametrize("family", [small_family(tag) for tag in FAMILY_TAGS], ids=str)
+    def test_family_checks_diagonalize_sigma_once(self, solver_calls, family):
+        # The eigensolves of xi are complex N x N; the real ones act on g:
+        # the eigh of sigma_coords that the graded-closure check and the
+        # d x d spectrum share, and the SVD of ad(xi) from k to p.
+        space = build_space(family)
+        results, lam = verification._family_checks(family, EPS, None)
+        assert all(r.ok for r in results) and lam == closed_form_lambda(family)
+        n, d = space.ambient_dim, space.dim_g
+        real = [(name, shape) for name, shape, kind in solver_calls if kind == "f"]
+        assert real == [("eigh", (d, d)), ("svd", (space.p_dim, space.k_dim))]
+        assert all(shape == (n, n) for _, shape, kind in solver_calls if kind != "f")
+
+
 class TestProfileOracle:
     @pytest.mark.parametrize(
         "family",
@@ -326,8 +358,6 @@ class TestStructuredMany:
     def test_one_rationalization_per_space(self, monkeypatch):
         # Every rationalization, through whichever module binding, ends in
         # one Fraction.limit_denominator call.
-        from spindles import verification
-
         calls = []
         real = Fraction.limit_denominator
 

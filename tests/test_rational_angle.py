@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spindles.errors import RationalizationError
-from spindles.linalg import RationalAngle
+from spindles.linalg import RationalAngle, _sin_pi
+from spindles.spindle import _sin_at
 
 nums = st.integers(min_value=-720, max_value=720)
 dens = st.integers(min_value=1, max_value=96)
@@ -59,6 +60,21 @@ class TestExactPredicates:
             assert angle.cos_is_one == (num % (2 * den) == 0)
             assert angle.cos_is_minus_one == (den == g and num % (2 * den) != 0)
             assert angle.is_half_integer == (den == 2 * g)
+
+    @given(nums, dens, st.integers(min_value=1, max_value=12))
+    def test_sine_from_unreduced_integers(self, num, den, k):
+        # _sin_pi reads num/den reduced or not, so the sine at an integer
+        # frequency k needs no reduced product angle; both equal, to the
+        # bit, the sine as RationalAngle computed it from lowest terms.
+        angle = RationalAngle(num * k, den)
+        if angle.den == 1:
+            want = 0.0
+        elif angle.den == 2:
+            want = 1.0 if angle.num % 4 == 1 else -1.0
+        else:
+            want = math.sin(math.pi * ((angle.num % (2 * angle.den)) / angle.den))
+        assert _sin_pi(num * k, den) == want
+        assert _sin_at(float(k), RationalAngle(num, den)) == want
 
 
 def _randint_pairs(seed, count):

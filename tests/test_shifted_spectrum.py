@@ -1,10 +1,14 @@
-"""The d x d spectrum route: one eigh of -ad(xi)^2 + c*sigma_coords.
+"""The d x d spectrum route: one SVD of the p x k block of ad(xi).
 
-_spectrum_from_ad labels every eigenvector k or p by the sign of its
-shifted eigenvalue. The oracle below takes two steps instead: eigh of
--ad(xi)^2 alone, then per frequency cluster the involution restricted to
-the cluster, t = ub^T sigma ub, whose trace gives the k-multiplicity and
-whose eigenvectors split the cluster into its k and p parts.
+_spectrum_from_ad takes bases of k and p from the eigenvectors of
+sigma_coords (space.sigma_eigh) and reads the frequencies and the pieces
+k_nu, p_nu off the singular values and vectors of ad(xi) from k to p.
+Two oracles check it. The two-step one: eigh of -ad(xi)^2 alone, then per
+frequency cluster the involution restricted to the cluster,
+t = ub^T sigma ub, whose trace gives the k-multiplicity and whose
+eigenvectors split the cluster into its k and p parts. The shifted one:
+one eigh of -ad(xi)^2 + c*sigma_coords, each eigenvector labelled k or p
+by the sign of its eigenvalue.
 """
 
 import numpy as np
@@ -51,11 +55,29 @@ def oracle_spectrum(space, admat):
 
 def shifted_eigenvalues(space, admat):
     """(w, c): the eigenvalues of M = -ad^2 + c*sigma_coords as
-    _spectrum_from_ad builds M."""
+    shifted_spectrum builds M."""
     sq = -(admat @ admat)
     sq = (sq + sq.T) / 2.0
     c = 1.0 + float(np.max(np.sum(np.abs(sq), axis=1)))
     return np.linalg.eigvalsh(sq + c * space.sigma_coords), c
+
+
+def shifted_spectrum(space, admat):
+    """The spectrum of the shifted route. For xi in p, -ad(xi)^2 commutes
+    with sigma, and M = -ad(xi)^2 + c*sigma_coords, with c one more than
+    the largest absolute row sum of -ad(xi)^2 (a bound on its eigenvalues
+    nu^2), has the eigenvalue nu^2 + c >= 1 on k_nu and nu^2 - c <= -1 on
+    p_nu: the sign of each eigenvalue mu is its k/p label, and nu is
+    sqrt(mu - c) on k, sqrt(mu + c) on p."""
+    w, c = shifted_eigenvalues(space, admat)
+    assert np.min(np.abs(w)) >= 0.5
+    in_k = w > 0.0
+    nu = np.sqrt(np.clip(np.where(in_k, w - c, w + c), 0.0, None))
+    order = np.argsort(nu, kind="stable")
+    frequencies, groups = _frequency_clusters(space, nu[order])
+    mult_k = tuple(int(np.sum(in_k[order[g]])) for g in groups)
+    mult_p = tuple(len(g) - m for g, m in zip(groups, mult_k))
+    return AdSpectrum(tuple(frequencies), mult_k, mult_p)
 
 
 @pytest.fixture(scope="module", params=CAP8, ids=str)
@@ -67,15 +89,15 @@ def case(request):
 
 
 def test_matches_old_route(case):
-    """Identical multiplicities and frequencies within 1e-12 of the old
-    route, at xi and at the non-canonical 0.37*xi and 2.5*xi."""
+    """Identical multiplicities and frequencies within 1e-12 of both old
+    routes, at xi and at the non-canonical 0.37*xi and 2.5*xi."""
     space, xi, admat = case
     for scale in SCALES:
         got = ad_spectrum(space, scale * xi)
-        want, _ = oracle_spectrum(space, scale * admat)
-        assert got.mult_k == want.mult_k, scale
-        assert got.mult_p == want.mult_p, scale
-        assert np.allclose(got.frequencies, want.frequencies, rtol=0.0, atol=1e-12), scale
+        for want in (oracle_spectrum(space, scale * admat)[0], shifted_spectrum(space, scale * admat)):
+            assert got.mult_k == want.mult_k, scale
+            assert got.mult_p == want.mult_p, scale
+            assert np.allclose(got.frequencies, want.frequencies, rtol=0.0, atol=1e-12), scale
 
 
 def test_shift_margins(case):
@@ -98,6 +120,26 @@ def test_shift_margins(case):
     assert np.all(nu[zero] <= ZERO_FREQ_TOL / 10)
     positive = nu[~zero]
     assert np.all(np.abs(positive - np.round(positive)) <= BUCKET_TOL / 1000)
+    assert np.all(np.round(positive) >= 1)
+
+
+def test_svd_margins(case):
+    """Margins of the SVD route at the cap-8 canonical elements.
+
+    Measured on all 203 families (one BLAS thread): every eigenvalue of
+    sigma_coords lies within 2.4e-15 of +-1, against the refusal at 1/2;
+    the largest zero-cluster singular value is 7.2e-16, against
+    ZERO_FREQ_TOL = 1e-5 (the shifted route's zero frequencies reached
+    1.33e-7); the farthest positive singular value lies 8.9e-16 from its
+    integer, against BUCKET_TOL = 1e-6."""
+    space, _, admat = case
+    ew, ev = space.sigma_eigh
+    assert np.max(np.abs(np.abs(ew) - 1.0)) <= 1e-13
+    sv = np.linalg.svd(ev[:, ew < 0].T @ admat @ ev[:, ew > 0], compute_uv=False)
+    zero = sv <= ZERO_FREQ_TOL
+    assert np.all(sv[zero] <= 1e-13)
+    positive = sv[~zero]
+    assert np.all(np.abs(positive - np.round(positive)) <= 1e-13)
     assert np.all(np.round(positive) >= 1)
 
 
@@ -133,8 +175,8 @@ def test_refuses_involution_off_the_spectrum():
     """A sigma that does not commute with ad(xi)^2 and is no involution is
     refused: the projector onto k plus a symmetric coupling of a k vector
     and a p vector of different frequencies, both orthogonal to xi. It
-    annihilates the coordinates of xi, which -ad(xi)^2 does as well, so M
-    has the eigenvalue 0."""
+    annihilates the coordinates of xi, so it has the eigenvalue 0, a full
+    1 away from +-1."""
     family = next(f for f in CAP8 if str(f) == "AI(2,3)")
     space = build_space(family)
     xi = canonical_element(family)
@@ -147,5 +189,5 @@ def test_refuses_involution_off_the_spectrum():
     sq = -(admat @ admat)
     assert np.linalg.norm(bad @ sq - sq @ bad) > 0.1
     vars(space)["sigma_coords"] = bad
-    with pytest.raises(SpectrumBucketingError, match="within 1/2 of 0"):
+    with pytest.raises(SpectrumBucketingError, match="farther than 1/2 from"):
         _spectrum_from_ad(space, admat)
