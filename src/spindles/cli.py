@@ -38,15 +38,7 @@ from .spaces import (
     catalog_entry,
     sweep_families,
 )
-from .spindle import (
-    _checked_components,
-    _jacobi_sum,
-    _slice_count,
-    classify_time,
-    closed_form_lambda,
-    product_spindle,
-    spindle_number,
-)
+from .spindle import closed_form_lambda, product_spindle, spindle_number
 from .verification import run_verification
 
 # profile builds its whole table before printing it; a --step asking for
@@ -158,10 +150,6 @@ def cmd_profile(args) -> int:
     if step.num <= 0:
         raise SpindleError(f"--step must be positive, got {args.step}")
     report = spindle_number(build_space(family), eps=args.eps)
-    spec = report.spectrum
-    # jacobi_norm_sq and slice_dimension per row, the unit components checked once.
-    freqs, mults = spec.positive_frequencies, spec.positive_mult_p
-    comps = _checked_components(freqs, [1.0] * len(freqs))
 
     # One row per t = k*step in [0, lambda*pi]: k <= lambda*den/num.
     count = report.lambda_ * step.den // step.num + 1
@@ -170,13 +158,8 @@ def cmd_profile(args) -> int:
             f"--step {args.step} asks for {count} rows, more than {MAX_PROFILE_ROWS}"
         )
     rows = [
-        (
-            t.over_pi_text,
-            _fmt(_jacobi_sum(freqs, comps, t)),
-            str(_slice_count(freqs, mults, t, args.eps)),
-            classify_time(t),
-        )
-        for t in (step * k for k in range(count))
+        (text, _fmt(jacobi), str(dim), kind)
+        for text, jacobi, dim, kind in report.profile_rows(step, count)
     ]
 
     header = ("t_over_pi", "jacobi_norm_sq", "slice_dimension", "classification")

@@ -74,20 +74,8 @@ def ensure_square(a) -> np.ndarray:
     return m
 
 
-def is_anti_hermitian(a, eps: float | None = None) -> bool:
-    return _is_anti_hermitian(ensure_square(a), resolve_eps(eps))
-
-
-def is_unitary(a, eps: float | None = None) -> bool:
-    return _is_unitary(ensure_square(a), resolve_eps(eps))
-
-
-def is_real_matrix(a, eps: float | None = None) -> bool:
-    return _is_real(ensure_square(a), resolve_eps(eps))
-
-
-# The private tests below take a matrix that ensure_square has passed and a
-# resolved tolerance; the public functions above validate and call them.
+# The matrix tests below take a matrix that ensure_square has passed and a
+# resolved tolerance; the public entry points that call them validate first.
 
 
 def _is_anti_hermitian(m: np.ndarray, tol: float) -> bool:

@@ -682,12 +682,10 @@ class SpaceInstance:
     def from_coords(self, coords) -> np.ndarray:
         return np.tensordot(np.asarray(coords, dtype=float), self.basis_tensor, axes=1)
 
-    def algebra_residual(self, x) -> float:
-        """Max-norm distance from x to g, through the algebra's orthogonal
-        projector (the closed form of from_coords(to_coords(x)))."""
-        return self._residual(self._matrix(x))
-
     def _residual(self, m: np.ndarray) -> float:
+        """Max-norm distance from m, a matrix that _matrix has passed, to g,
+        through the algebra's orthogonal projector (the closed form of
+        from_coords(to_coords(m)))."""
         return float(np.max(np.abs(m - self.family._spec.project(m))))
 
     def contains_tangent(self, x, eps: float | None = None) -> bool:

@@ -28,6 +28,10 @@ ad_spectrum and cartan_split take bases of k and p from the space's
 sigma_eigh, which verify's graded-closure check shares; one SVD of ad(xi)
 from k to p gives the frequencies and the pieces k_nu and p_nu.
 
+A slice at a rational time is integer arithmetic: _lattice_row is the one
+rule that profile's rows (SpindleReport.profile_rows) and the report's
+pi/12 profile read, with no RationalAngle per row.
+
 Public functions validate their input; private helpers trust it. A public
 entry point coerces xi once with ensure_square, checks its size and
 tangency, and hands the array down; the helpers below it (_return_scan,
@@ -39,9 +43,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import cycle
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -400,13 +404,6 @@ def jacobi_norm_sq(spec: AdSpectrum, components: Sequence, t) -> float:
     orthogonal). t may be a float or a RationalAngle; with a rational t
     and integer frequencies the sines at lattice points are exact."""
     freqs = spec.positive_frequencies
-    comps = _checked_components(freqs, components)
-    return _jacobi_sum(freqs, comps, _finite_time(t))
-
-
-def _checked_components(freqs: tuple, components: Sequence) -> list:
-    """components as floats, one per positive frequency in freqs, finite,
-    non-negative and not all zero; else the error jacobi_norm_sq raises."""
     comps = [float(c) for c in components]
     if len(comps) != len(freqs):
         raise DimensionMismatchError(
@@ -418,12 +415,7 @@ def _checked_components(freqs: tuple, components: Sequence) -> list:
         raise ParameterError("component norms must be non-negative")
     if not any(c > 0 for c in comps):
         raise ParameterError("at least one component norm must be positive")
-    return comps
-
-
-def _jacobi_sum(freqs: tuple, comps: list, t) -> float:
-    """jacobi_norm_sq for components that _checked_components has passed
-    and t as _finite_time gives it."""
+    t = _finite_time(t)
     total = 0.0
     for freq, comp in zip(freqs, comps):
         if comp == 0.0:
@@ -460,15 +452,9 @@ def slice_dimension(spec: AdSpectrum, t, eps: float | None = None) -> int:
     passes its spectrum."""
     t = _finite_time(t)
     tol = resolve_eps(eps)
-    return _slice_count(spec.positive_frequencies, spec.positive_mult_p, t, tol)
-
-
-def _slice_count(freqs: tuple, mults: tuple, t, tol: float) -> int:
-    """slice_dimension for the positive frequencies and their dim p_nu, t as
-    _finite_time gives it and a resolved tolerance."""
     rational = isinstance(t, RationalAngle)
     total = 0
-    for freq, mult in zip(freqs, mults):
+    for freq, mult in zip(spec.positive_frequencies, spec.positive_mult_p):
         k = _integer(freq) if rational else None
         if k is not None:
             total += mult if (t.num * k) % t.den else 0
@@ -633,11 +619,37 @@ def _adjoint_flags(space: SpaceInstance, g: np.ndarray, tol: float) -> tuple:
     return order_two, commutes
 
 
-# The text of k/12 (k >= 0) by k mod 12, as _over_pi_text(k, 12) writes it:
-# with g = gcd(k, 12), f"{k // g}" and, unless g is 12, "/{12 // g}".
-_TWELFTHS = tuple(
-    (math.gcd(r, 12), "" if r == 0 else f"/{12 // math.gcd(r, 12)}") for r in range(12)
-)
+# A slice's classification by the lowest-terms denominator of t/pi.
+_LATTICE_KINDS = {1: "knot", 2: "centriole"}
+
+
+def _lattice_row(nus: Sequence, mults: Sequence, kn: int, den: int) -> tuple:
+    """(g, suffix, dim, classification, jacobi) of the slice at t =
+    (kn/den)*pi, kn an integer and den >= 1, for the integer frequencies nus
+    and their dim p_nu, in Python ints. g = gcd(kn, den): t/pi in lowest
+    terms is f"{kn // g}{suffix}", suffix '' where den/g = 1, else
+    f"/{den // g}"; a knot where den/g = 1, a centriole where it is 2. dim
+    sums dim p_nu over the nu with den not dividing kn*nu, and jacobi (unit
+    components) sums _sin_pi(kn*nu, den)^2 / nu^2 over them in ascending nu;
+    the other nu add sin = 0."""
+    g = math.gcd(kn, den)
+    reduced = den // g
+    dim = 0
+    jacobi = 0.0
+    for nu, mult in zip(nus, mults):
+        if kn * nu % den:
+            dim += mult
+            s = _sin_pi(kn * nu, den)
+            jacobi += s * s / (nu * nu)
+    suffix = "" if reduced == 1 else f"/{reduced}"
+    return g, suffix, dim, _LATTICE_KINDS.get(reduced, "regular"), jacobi
+
+
+@lru_cache(maxsize=256)
+def _twelfths(nus: tuple, mults: tuple) -> tuple:
+    """_lattice_row at t = r*pi/12, 0 <= r < 12: row k of a pi/12 profile
+    is entry k mod 12. A sweep's reports share a few spectra, so each is kept."""
+    return tuple(_lattice_row(nus, mults, r, 12) for r in range(12))
 
 
 @dataclass(frozen=True, eq=False)
@@ -671,24 +683,31 @@ class SpindleReport:
     @property
     def slice_profile(self) -> tuple:
         """(t, slice dimension) at t = k*pi/12 for 0 <= k <= 12*lambda."""
-        return tuple((RationalAngle(k, 12), dim) for k, dim in enumerate(self._profile_dims()))
+        period = _twelfths(integer_frequencies(self.spectrum), self.spectrum.positive_mult_p)
+        return tuple(
+            (RationalAngle(k, 12), period[k % 12][2]) for k in range(12 * self.lambda_ + 1)
+        )
 
     @property
     def geodesic_length_over_norm(self) -> RationalAngle:
         """Length of the closed geodesic over |xi|: lambda*pi."""
         return RationalAngle(self.lambda_)
 
-    def _profile_dims(self) -> list:
-        """Slice dimensions at t = k*pi/12, 0 <= k <= 12*lambda: the sum of
-        dim p_nu over the integer frequencies nu with sin(nu*t) != 0, that
-        is with k*nu not a multiple of 12."""
-        spec = self.spectrum
-        nu = np.array([_integer(f) for f in spec.positive_frequencies])
-        k = np.arange(12 * self.lambda_ + 1)[:, None]
-        return ((k * nu % 12 != 0) @ np.array(spec.positive_mult_p)).tolist()
+    def profile_rows(self, step: RationalAngle, count: int) -> Iterator[tuple]:
+        """(t/pi text in lowest terms, jacobi_norm_sq with unit components,
+        slice dimension, classification) at t = k*step for 0 <= k < count,
+        each row from the integers k*step.num and step.den by _lattice_row,
+        with no RationalAngle per row."""
+        nus, mults = integer_frequencies(self.spectrum), self.spectrum.positive_mult_p
+        num, den = step.num, step.den
+        for k in range(count):
+            kn = k * num
+            g, suffix, dim, kind, jacobi = _lattice_row(nus, mults, kn, den)
+            yield f"{kn // g}{suffix}", jacobi, dim, kind
 
     def to_json_dict(self) -> dict:
         lam, space, spec = self.lambda_, self.space, self.spectrum
+        period = _twelfths(integer_frequencies(spec), spec.positive_mult_p)
         return {
             **_shared_json(space),
             "lambda": lam,
@@ -703,7 +722,7 @@ class SpindleReport:
             "centriole_times": [f"{2 * n + 1}/2 pi" for n in range(lam)],
             "slice_profile": [
                 {"t_over_pi": f"{k // g}{suffix}", "dim": dim}
-                for k, (dim, (g, suffix)) in enumerate(zip(self._profile_dims(), cycle(_TWELFTHS)))
+                for k, (g, suffix, dim, _, _) in zip(range(12 * lam + 1), cycle(period))
             ],
             "geodesic_length_over_norm": f"{lam}/1 pi",
             "checks": dict(self.checks),

@@ -26,7 +26,7 @@ BASIS_KEYS = {"basis_tensor", "basis_vecs", "sigma_coords", "sigma_eigh"}
 
 
 def basis_residual(space, m) -> float:
-    """The oracle: the basis round trip algebra_residual used before the
+    """The oracle: the basis round trip the residual used before the
     projector, the max-norm distance from m to from_coords(to_coords(m))."""
     return float(np.max(np.abs(m - space.from_coords(space.to_coords(m)))))
 
@@ -129,7 +129,7 @@ class TestProjector:
     def test_matches_basis_route(self, catalog6, name):
         _, space, _ = catalog6[name]
         for label, m in tangency_probes(space).items():
-            got = space.algebra_residual(m)
+            got = space._residual(m)
             assert abs(got - basis_residual(space, m)) <= 1e-12, label
             verdict = space.contains_tangent(m, EPS)
             assert verdict == basis_contains_tangent(space, m, EPS), label

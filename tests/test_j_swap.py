@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from spindles.linalg import _eigh_anti_hermitian, _exp_eigh, is_real_matrix
+from spindles.linalg import _eigh_anti_hermitian, _exp_eigh, _is_real
 from spindles.spaces import (
     _FAMILIES,
     SpaceFamily,
@@ -122,7 +122,7 @@ def oracle_double_signature(n):
 
 def oracle_in_so_times_so(g, tol, p, q):
     return (
-        is_real_matrix(g, tol)
+        _is_real(g, tol)
         and oracle_commutes(g, _signature(p, q), tol)
         and all(_det_one(block, tol) for block in (g[:p, :p], g[p:, p:]))
     )
@@ -140,7 +140,7 @@ def oracle_in_sp_times_sp(g, tol, n):
 
 
 def oracle_real_commuting_with_j(g, tol, half):
-    return is_real_matrix(g, tol) and oracle_commutes(g, _j_matrix(half), tol)
+    return _is_real(g, tol) and oracle_commutes(g, _j_matrix(half), tol)
 
 
 def oracle_sp_project(x):

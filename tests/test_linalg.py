@@ -10,12 +10,14 @@ from spindles.errors import (
     RationalizationError,
 )
 from spindles.linalg import (
+    DEFAULT_EPS,
     RationalAngle,
+    _is_anti_hermitian,
+    _is_real,
+    _is_unitary,
     ensure_square,
     exp_generic,
     exp_structured,
-    is_anti_hermitian,
-    is_unitary,
     mat_to_vec,
     rationalize,
     resolve_eps,
@@ -91,10 +93,12 @@ class TestBasics:
         assert float(va @ vb) == pytest.approx(trace_inner(a, b), abs=1e-12)
 
     def test_predicates(self):
-        assert is_anti_hermitian(1j * np.eye(3))
-        assert not is_anti_hermitian(np.diag([1.0, 2.0, 3.0]))
-        assert is_unitary(np.eye(3))
-        assert not is_unitary(2 * np.eye(3))
+        assert _is_anti_hermitian(ensure_square(1j * np.eye(3)), DEFAULT_EPS)
+        assert not _is_anti_hermitian(ensure_square(np.diag([1.0, 2.0, 3.0])), DEFAULT_EPS)
+        assert _is_unitary(ensure_square(np.eye(3)), DEFAULT_EPS)
+        assert not _is_unitary(ensure_square(2 * np.eye(3)), DEFAULT_EPS)
+        assert _is_real(ensure_square(np.eye(3)), DEFAULT_EPS)
+        assert not _is_real(ensure_square(1j * np.eye(3)), DEFAULT_EPS)
 
 
 class TestSubspaceRank:
@@ -144,7 +148,7 @@ class TestExpGeneric:
     def test_unitary_output(self):
         a = random_anti_hermitian(6, 12)
         g = exp_generic(a, 2.3)
-        assert is_unitary(g, 1e-12)
+        assert _is_unitary(g, 1e-12)
 
     def test_rejects_non_anti_hermitian(self):
         with pytest.raises(NotAntiHermitianError):

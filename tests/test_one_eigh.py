@@ -2,7 +2,7 @@
 
 spindle_number diagonalizes xi once and reads the spectrum, the return
 scan and exp(pi*xi) from it; the pi/12 slice profile comes from the
-integer frequencies in one array pass; normalize_canonical takes its
+integer frequencies through the slice lattice; normalize_canonical takes its
 frequencies from root data; the verify scans check and rationalize the
 closed form once per space; a verify pass diagonalizes sigma_coords once
 per space, for its graded-closure check and its d x d spectrum alike.
@@ -28,11 +28,11 @@ from spindles.errors import (
 from spindles.linalg import (
     CLOSED_FORMS,
     RationalAngle,
+    _is_anti_hermitian,
     _exp_structured_many,
     ensure_square,
     exp_generic,
     exp_structured,
-    is_anti_hermitian,
     rationalize,
     resolve_eps,
 )
@@ -191,7 +191,7 @@ class TestOneEigendecomposition:
         space = build_space(small_family(tag))
         xi = tangency_probes(space)["off g x0.5"]
         assert space.contains_tangent(xi, EPS)
-        assert not is_anti_hermitian(xi, EPS)
+        assert not _is_anti_hermitian(ensure_square(xi), EPS)
         with pytest.raises(NotAntiHermitianError, match="^spindle_number requires"):
             spindle_number(space, xi, EPS)
 

@@ -191,3 +191,24 @@ def test_refuses_involution_off_the_spectrum():
     vars(space)["sigma_coords"] = bad
     with pytest.raises(SpectrumBucketingError, match="farther than 1/2 from"):
         _spectrum_from_ad(space, admat)
+
+
+def test_refuses_a_positive_cluster_at_the_zero_threshold():
+    """Six frequencies one ulp above ZERO_FREQ_TOL stay out of the zero
+    cluster, but their mean rounds down to ZERO_FREQ_TOL itself: that
+    cluster is refused, not reported as a positive frequency."""
+    space = build_space(CAP8[0])
+    nu = np.full(6, np.nextafter(ZERO_FREQ_TOL, 1))
+    assert np.all(nu > ZERO_FREQ_TOL) and float(np.mean(nu)) <= ZERO_FREQ_TOL
+    with pytest.raises(SpectrumBucketingError, match="below the zero threshold"):
+        _frequency_clusters(space, nu)
+
+
+def test_refuses_a_cluster_chained_wider_than_the_tolerance():
+    """Gaps of 0.9e-6, each under BUCKET_TOL, chain three frequencies into
+    one cluster 1.8e-6 wide: that cluster is refused."""
+    space = build_space(CAP8[0])
+    nu = np.array([0.5, 0.5 + 0.9e-6, 0.5 + 1.8e-6])
+    assert np.all(np.diff(nu) <= BUCKET_TOL) and nu[-1] - nu[0] > BUCKET_TOL
+    with pytest.raises(SpectrumBucketingError, match="wider than"):
+        _frequency_clusters(space, nu)

@@ -134,7 +134,7 @@ class TestBuildSpace:
         assert np.max(np.abs(s @ s - np.eye(space.dim_g))) < 1e-12
         for b in space.basis_tensor:
             image = space.apply_sigma(b)
-            assert space.algebra_residual(image) < 1e-12
+            assert space._residual(image) < 1e-12
 
     def test_coords_roundtrip(self):
         space = build_space(SpaceFamily.make("AII", 1, 1))

@@ -70,7 +70,7 @@ class TestCartanSplit:
         assert np.max(np.abs(gram - np.eye(len(mats)))) < 1e-9
         for side, piece in pieces:
             for m in piece:
-                assert space.algebra_residual(m) < 1e-9
+                assert space._residual(m) < 1e-9
                 image = space.apply_sigma(m)
                 sign = 1.0 if side == "k" else -1.0
                 assert np.max(np.abs(image - sign * m)) < 1e-9

@@ -40,8 +40,9 @@ from spindles.spindle import (
     _GRID_KNOT,
     _GRID_T,
     _KNOT_PAIRS,
-    _TWELFTHS,
     _is_scalar,
+    _lattice_row,
+    _twelfths,
     _symmetric_about,
 )
 
@@ -125,9 +126,20 @@ def test_grid_constants_match_the_per_call_expressions():
 
 
 def test_twelfths_text():
+    # The report's pi/12 profile: row k reads entry k mod 12 of one period.
+    period = _twelfths((1, 2), (3, 1))
     for k in range(12 * 60 + 1):
-        g, suffix = _TWELFTHS[k % 12]
+        g, suffix, *_ = period[k % 12]
         assert f"{k // g}{suffix}" == _over_pi_text(k, 12), k
+
+
+@pytest.mark.parametrize("den", [7, 10, 12, 997])
+def test_lattice_text(den):
+    # profile's rows: the text of t/pi from the unreduced k*num and den.
+    for num in (1, 3, den - 1):
+        for k in range(3 * den + 1):
+            g, suffix, *_ = _lattice_row((1,), (1,), k * num, den)
+            assert f"{k * num // g}{suffix}" == _over_pi_text(k * num, den), (num, k)
 
 
 # -- identity-free residuals ----------------------------------------------
