@@ -7,8 +7,9 @@ Frobenius pairing. One absolute tolerance drives every yes/no decision;
 it defaults to 1e-9 and can be overridden with the SPINDLE_EPS
 environment variable.
 
-Angles that must be decided exactly (is sin zero, is cos +-1) are carried
-as rational multiples of pi, see RationalAngle.
+Angles that must be decided exactly (is sin zero, is cos +-1) are rational
+multiples (num/den)*pi: _sin_pi and _cos_pi decide the exact values on the
+two integers, and RationalAngle is the time value that carries them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -120,13 +120,6 @@ def rationalize(x: float, max_den: int = MAX_PHASE_DENOMINATOR, tol: float = PHA
     return f
 
 
-def _over_pi_text(num: int, den: int) -> str:
-    """num/den (den >= 1) in lowest terms as str(Fraction) writes it:
-    'num/den', or 'num' when the denominator is 1."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
 def _sin_pi(num: int, den: int) -> float:
     """sin((num/den)*pi), den >= 1, reduced or not: exact 0.0 where den | num,
     +-1.0 where den | 2*num only, else the sine of pi times (num mod 2*den)/den,
@@ -138,11 +131,23 @@ def _sin_pi(num: int, den: int) -> float:
     return math.sin(math.pi * ((num % (2 * den)) / den))
 
 
+def _cos_pi(num: int, den: int) -> float:
+    """cos((num/den)*pi), den >= 1, reduced or not: exact +-1.0 where den | num,
+    0.0 where den | 2*num only, else the cosine of pi times (num mod 2*den)/den,
+    the same correctly rounded int / int as _sin_pi."""
+    if num % den == 0:
+        return 1.0 if num // den % 2 == 0 else -1.0
+    if 2 * num % den == 0:
+        return 0.0
+    return math.cos(math.pi * ((num % (2 * den)) / den))
+
+
 @dataclass(frozen=True, slots=True)
 class RationalAngle:
-    """The angle (num/den) * pi, stored in lowest terms with den >= 1.
+    """The time (num/den) * pi, a plain value stored in lowest terms with
+    den >= 1.
 
-    Keeping the multiple of pi as an an exact fraction makes the lattice
+    Keeping the multiple of pi as an exact fraction makes the lattice
     questions integer arithmetic:
 
         sin == 0       iff den == 1
@@ -150,8 +155,10 @@ class RationalAngle:
         cos == -1      iff den == 1 and num odd
         half-integer   iff den == 2  (sin = +-1, cos = 0)
 
-    sin()/cos() return exact 0.0 / +-1.0 in those cases and ordinary
-    floating point values otherwise.
+    sin()/cos() are _sin_pi/_cos_pi on (num, den): exact 0.0 / +-1.0 in
+    those cases and ordinary floating point values otherwise. The class has
+    no arithmetic; a caller that needs k*t or t/2 passes the integers
+    (k*num, den) or (num, 2*den) to _sin_pi/_cos_pi.
     """
 
     num: int
@@ -175,14 +182,6 @@ class RationalAngle:
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalizationError(f"cannot parse angle {text!r}: {exc}") from exc
         return cls(f.numerator, f.denominator)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    @property
-    def over_pi_text(self) -> str:
-        return _over_pi_text(self.num, self.den)
 
     @property
     def radians(self) -> float:
@@ -209,34 +208,7 @@ class RationalAngle:
         return _sin_pi(self.num, self.den)
 
     def cos(self) -> float:
-        if self.den == 1:
-            return 1.0 if self.num % 2 == 0 else -1.0
-        if self.den == 2:
-            return 0.0
-        return math.cos(math.pi * ((self.num % (2 * self.den)) / self.den))
-
-    # Exact arithmetic on (num, den); scalars are an int or a Fraction, read
-    # through .numerator and .denominator. The constructor reduces the result.
-    def __add__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RationalAngle":
-        return RationalAngle(-self.num, self.den)
-
-    def __mul__(self, other: Union[int, Fraction]) -> "RationalAngle":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return RationalAngle(self.num * other.numerator, self.den * other.denominator)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union[int, Fraction]) -> "RationalAngle":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return RationalAngle(self.num * other.denominator, self.den * other.numerator)
+        return _cos_pi(self.num, self.den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den} pi"
@@ -253,18 +225,14 @@ def exp_generic(a, t: float = 1.0, eps: float | None = None) -> np.ndarray:
 
 def _exp_generic_many(a, times, eps: float | None = None) -> list:
     """[exp(t*a) for t in times] from one eigendecomposition of -i*a."""
-    w, v = _eigh_anti_hermitian(a, eps, "exp_generic")
+    w, v = _eigh_trusted(ensure_square(a), resolve_eps(eps), "exp_generic")
     return [_exp_eigh(w, v, t) for t in times]
 
 
-def _eigh_anti_hermitian(a, eps: float | None, caller: str) -> tuple:
-    """(w, v) with a = i v diag(w) v*. eigh reads one triangle only, so a
-    must pass the anti-Hermitian test first; the refusal names the caller."""
-    return _eigh_trusted(ensure_square(a), resolve_eps(eps), caller)
-
-
 def _eigh_trusted(m: np.ndarray, tol: float, caller: str) -> tuple:
-    """_eigh_anti_hermitian for a matrix that ensure_square has passed."""
+    """(w, v) with m = i v diag(w) v*, for a matrix that ensure_square has
+    passed. eigh reads one triangle only, so m must pass the anti-Hermitian
+    test first; the refusal names the caller."""
     if not _is_anti_hermitian(m, tol):
         raise NotAntiHermitianError(f"{caller} requires an anti-Hermitian matrix")
     return np.linalg.eigh(-1j * m)
@@ -273,10 +241,6 @@ def _eigh_trusted(m: np.ndarray, tol: float, caller: str) -> tuple:
 def _exp_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """exp(t*a) = v diag(exp(i t w)) v* for a = i v diag(w) v*."""
     return (v * np.exp(1j * float(t) * w)) @ v.conj().T
-
-
-def _phase_entry(theta: RationalAngle) -> complex:
-    return complex(theta.cos(), theta.sin())
 
 
 def exp_structured(xi, t: RationalAngle, form: str, eps: float | None = None) -> np.ndarray:
@@ -289,17 +253,20 @@ def exp_structured(xi, t: RationalAngle, form: str, eps: float | None = None) ->
         exp(t xi) = I + sin(t) xi + (1 - cos t) xi^2.
 
     The identity behind the requested form is verified first and a
-    FormIdentityError is raised if it fails. Trigonometric values that
-    are exactly 0 or +-1 come from the integer tests on the rational
-    angle; everything else is floating point.
+    FormIdentityError is raised if it fails. Each sine and cosine is
+    _sin_pi/_cos_pi on integers: (num*a, den*b) for t*d_k with d_k = a/b,
+    (num, 2*den) for t/2 and (num, den) for t. Values that are exactly 0
+    or +-1 come out exact; everything else is floating point.
     """
     return _exp_structured_many(xi, (t,), form, eps)[0]
 
 
 def _exp_structured_many(xi, angles, form: str, eps: float | None = None) -> list:
     """[exp_structured(xi, t, form, eps) for t in angles], with the form's
-    identity checked and the diagonal of xi rationalized once; a diagonal
-    phase takes one _phase_entry per angle and distinct phase value."""
+    identity checked and the diagonal of xi rationalized once. The trig
+    values are read from the integers of each angle and phase, so no
+    RationalAngle is built; a diagonal phase takes one entry per angle
+    and distinct phase value."""
     m = ensure_square(xi)
     tol = resolve_eps(eps)
     eye = np.eye(m.shape[0])
@@ -314,14 +281,15 @@ def _exp_structured_many(xi, angles, form: str, eps: float | None = None) -> lis
         phases = [rationalize(v) for v in d.imag]
         distinct = list(dict.fromkeys(phases))
         slots = [distinct.index(f) for f in phases]
-        rows = ([_phase_entry(t * f) for f in distinct] for t in angles)
+        scaled = ([(t.num * f.numerator, t.den * f.denominator) for f in distinct] for t in angles)
+        rows = ([complex(_cos_pi(*q), _sin_pi(*q)) for q in row] for row in scaled)
         return [np.diag([row[s] for s in slots]) for row in rows]
 
     if form == "half-angle":
         if float(np.max(np.abs(m @ m + eye / 4))) > tol:
             raise FormIdentityError("half-angle form needs xi^2 = -I/4")
-        halves = [t * Fraction(1, 2) for t in angles]
-        return [h.cos() * eye + (2.0 * h.sin()) * m for h in halves]
+        halves = [(t.num, 2 * t.den) for t in angles]
+        return [_cos_pi(*h) * eye + (2.0 * _sin_pi(*h)) * m for h in halves]
 
     if form == "rotation-block":
         m2 = m @ m

@@ -1,6 +1,6 @@
 import pytest
 
-from spindles import build_space, spindle_number, sweep_families
+from spindles import RationalAngle, build_space, spindle_number, sweep_families
 
 CATALOG_CAP = 6
 
@@ -16,3 +16,18 @@ def catalog6():
         space = build_space(family)
         out[str(family)] = (family, space, spindle_number(space))
     return out
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """A list that grows by one per RationalAngle built. The benchmark's
+    tracer counts constructions at the class, so this counter does too."""
+    built = []
+    init = RationalAngle.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalAngle, "__init__", counting)
+    return built

@@ -64,7 +64,7 @@ ORACLE_RULES = {
 
 
 def oracle_stated_membership(family, t):
-    return ORACLE_RULES[family.tag](t.fraction, *family.params)
+    return ORACLE_RULES[family.tag](Fraction(t.num, t.den), *family.params)
 
 
 def oracle_method_exact(family):
@@ -93,7 +93,7 @@ def test_matches_search_on_cap12(family):
 def fraction_stated_membership(family, phases, t):
     """The membership rule of stated_membership in Fraction arithmetic, the
     reference for its integer form."""
-    f = t.fraction
+    f = Fraction(t.num, t.den)
     turns = sum(w * m for w, m in phases if w > 0) if family._spec.identity_component else 0
     return all((f * w).denominator == 1 for w, _ in phases) and (f * turns) % 2 == 0
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from spindles.linalg import _eigh_anti_hermitian, _exp_eigh, _is_real
+from spindles.linalg import _eigh_trusted, _exp_eigh, _is_real, ensure_square, resolve_eps
 from spindles.spaces import (
     _FAMILIES,
     SpaceFamily,
@@ -154,7 +154,8 @@ def oracle_sp_project(x):
 def scan_candidates(family):
     """exp(n*pi*xi) at the canonical xi for every divisor n of n_max, the
     matrices the return scan may test."""
-    w, v = _eigh_anti_hermitian(canonical_element(family), EPS, "scan_candidates")
+    xi = ensure_square(canonical_element(family))
+    w, v = _eigh_trusted(xi, resolve_eps(EPS), "scan_candidates")
     return [_exp_eigh(w, v, n * math.pi) for n in _divisors(2 * _phase_lcm(_rational_phases(w)))]
 
 

@@ -115,13 +115,16 @@ def oracle_exp_structured(xi, t, form, eps=None):
         if float(np.max(np.abs(d.real))) > tol:
             raise FormIdentityError("diagonal-phase form needs purely imaginary diagonal")
         phases = [rationalize(v) for v in d.imag]
-        entries = [_phase_entry(t * f) for f in phases]
+        entries = [
+            _phase_entry(RationalAngle(t.num * f.numerator, t.den * f.denominator))
+            for f in phases
+        ]
         return np.diag(np.asarray(entries, dtype=complex))
 
     if form == "half-angle":
         if float(np.max(np.abs(m @ m + eye / 4))) > tol:
             raise FormIdentityError("half-angle form needs xi^2 = -I/4")
-        h = t * Fraction(1, 2)
+        h = RationalAngle(t.num, 2 * t.den)
         return h.cos() * eye + (2.0 * h.sin()) * m
 
     if form == "rotation-block":
@@ -354,6 +357,19 @@ class TestStructuredMany:
         ):
             with pytest.raises(FormIdentityError):
                 call()
+
+    @pytest.mark.parametrize(
+        "name", ["AI(1,1)", "AIII(1)", "GRP_d(2)", "BDI_rank1(1,2)", "GRP_bd(3)"]
+    )
+    def test_closed_forms_build_no_angle(self, constructions, name):
+        # The closed forms read each sine and cosine from the integers of t
+        # and the phase; the scan builds only its angles.
+        family = {str(f): f for f in sweep_families(6)}[name]
+        space = build_space(family)
+        _exp_structured_many(canonical_element(family), ANGLES, family.closed_form, EPS)
+        assert constructions == []
+        verification._closed_form_scan(space, EPS)
+        assert len(constructions) == 24 * space.cover_multiplier + 1
 
     def test_one_rationalization_per_space(self, monkeypatch):
         # Every rationalization, through whichever module binding, ends in

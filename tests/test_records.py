@@ -11,7 +11,7 @@ from dataclasses import fields
 import pytest
 
 from spindles import CartanSplit, SpindleReport
-from spindles.linalg import _eigh_anti_hermitian
+from spindles.linalg import _eigh_trusted, ensure_square, resolve_eps
 from spindles.spaces import canonical_element
 from spindles.spindle import _root_spectrum, ad_spectrum, cartan_split
 from test_spectrum import CAP6
@@ -39,7 +39,8 @@ def test_split_fields():
 def test_report_holds_its_space_and_spectrum(catalog6, name):
     _, space, report = catalog6[name]
     assert report.space is space
-    w, _ = _eigh_anti_hermitian(canonical_element(space.family), EPS, "test")
+    xi = ensure_square(canonical_element(space.family))
+    w, _ = _eigh_trusted(xi, resolve_eps(EPS), "test")
     assert report.spectrum == _root_spectrum(space, w, EPS)[0]
 
 

@@ -8,6 +8,8 @@ and neither spindle_number nor to_json_dict may build the RationalAngles
 that only the views need.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from spindles import cli
@@ -32,7 +34,7 @@ def test_json_text_matches_views(family):
     assert payload["centriole_times"] == [str(t) for t in report.centriole_times]
     assert payload["geodesic_length_over_norm"] == str(report.geodesic_length_over_norm)
     assert payload["slice_profile"] == [
-        {"t_over_pi": t.over_pi_text, "dim": dim} for t, dim in report.slice_profile
+        {"t_over_pi": str(Fraction(t.num, t.den)), "dim": dim} for t, dim in report.slice_profile
     ]
 
 
@@ -43,20 +45,6 @@ def test_views_are_rational_angles_on_the_lattice():
     assert report.geodesic_length_over_norm == RationalAngle(6)
     assert [t for t, _ in report.slice_profile] == [RationalAngle(k, 12) for k in range(73)]
     assert all(type(dim) is int for _, dim in report.slice_profile)
-
-
-@pytest.fixture
-def constructions(monkeypatch):
-    """A list that grows by one per RationalAngle built."""
-    built = []
-    init = RationalAngle.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RationalAngle, "__init__", counting)
-    return built
 
 
 def test_report_path_builds_no_view_angles(constructions):

@@ -28,7 +28,7 @@ from spindles import (
 )
 from spindles import spaces
 from spindles.errors import MembershipSearchError, NotUnitaryError, RationalizationError
-from spindles.linalg import _eigh_anti_hermitian, _exp_eigh, rationalize
+from spindles.linalg import _eigh_trusted, _exp_eigh, ensure_square, rationalize, resolve_eps
 from spindles.spindle import (
     BUCKET_TOL,
     _bucket,
@@ -78,7 +78,7 @@ def divisor_scan(space, w, v):
 
 
 def assert_scans_agree(space, xi):
-    w, v = _eigh_anti_hermitian(xi, EPS, "test")
+    w, v = _eigh_trusted(ensure_square(xi), resolve_eps(EPS), "test")
     assert divisor_scan(space, w, v) == oracle_return_scan(space, w, v, EPS)
 
 
@@ -117,7 +117,8 @@ def test_mutated_predicate_is_caught(monkeypatch):
     never tests 3, so the comparison must fail."""
     family = SpaceFamily.make("AI", 19, 21)
     space = build_space(family)
-    w, v = _eigh_anti_hermitian(canonical_element(family), EPS, "test")
+    xi = ensure_square(canonical_element(family))
+    w, v = _eigh_trusted(xi, resolve_eps(EPS), "test")
     assert 2 * _phase_lcm(_rational_phases(w)) == 80
     g3 = _exp_eigh(w, v, 3 * math.pi)
     spec = spaces._FAMILIES["AI"]
@@ -138,7 +139,8 @@ def test_non_unitary_eigenbasis_is_refused():
     # The scan certifies v once instead of every candidate exp(n*pi*xi).
     family = SpaceFamily.make("AI", 1, 2)
     space = build_space(family)
-    w, v = _eigh_anti_hermitian(canonical_element(family), EPS, "test")
+    xi = ensure_square(canonical_element(family))
+    w, v = _eigh_trusted(xi, resolve_eps(EPS), "test")
     with pytest.raises(NotUnitaryError, match=r"^AI\(1,2\): the return scan"):
         divisor_scan(space, w, 1.01 * v)
 
@@ -163,7 +165,7 @@ def test_cluster_member_off_its_fraction_raises():
 def test_one_rationalization_per_cluster(monkeypatch):
     family = SpaceFamily.make("AI", 19, 21)
     xi = k_conjugate(family, np.random.default_rng(7))
-    w, _ = _eigh_anti_hermitian(xi, EPS, "test")
+    w, _ = _eigh_trusted(ensure_square(xi), resolve_eps(EPS), "test")
     calls = []
     original = Fraction.limit_denominator
 

@@ -11,6 +11,7 @@ rewritten kernel must give the same booleans and the same floats, to the bit.
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from spindles.errors import (
     NotInTangentSpaceError,
     NotUnitaryError,
 )
-from spindles.linalg import _is_unitary, _over_pi_text, _scalar_residual
+from spindles.linalg import _is_unitary, _scalar_residual
 from spindles.spaces import _squares_to_one
 from spindles.spindle import (
     _CENTRIOLE_PAIRS,
@@ -130,7 +131,7 @@ def test_twelfths_text():
     period = _twelfths((1, 2), (3, 1))
     for k in range(12 * 60 + 1):
         g, suffix, *_ = period[k % 12]
-        assert f"{k // g}{suffix}" == _over_pi_text(k, 12), k
+        assert f"{k // g}{suffix}" == str(Fraction(k, 12)), k
 
 
 @pytest.mark.parametrize("den", [7, 10, 12, 997])
@@ -139,7 +140,7 @@ def test_lattice_text(den):
     for num in (1, 3, den - 1):
         for k in range(3 * den + 1):
             g, suffix, *_ = _lattice_row((1,), (1,), k * num, den)
-            assert f"{k * num // g}{suffix}" == _over_pi_text(k * num, den), (num, k)
+            assert f"{k * num // g}{suffix}" == str(Fraction(k * num, den)), (num, k)
 
 
 # -- identity-free residuals ----------------------------------------------
