@@ -32,6 +32,9 @@ Sp(n) sits inside U(2n) via the standard J_n = [[0,-I_n],[I_n,0]]
 embedding. Every sigma is M op(X) M* for a signed permutation M (I, J or
 a signature) and op the identity or entrywise conjugation, so it is
 applied as conj, block swaps or a sign flip, and no N x N matrix is built.
+That form is checked: sigma_coords reads sigma's signed permutation of the
+entry positions off the images of two probe matrices, and refuses a sigma
+that mixes entries or conjugates some of them only.
 The group families are realized on a single copy of the group's algebra:
 the g x g swap structure is never materialized, and the geodesic
 membership question collapses to the condition g^2 = I for g = exp(t*xi)
@@ -604,13 +607,16 @@ class SpaceInstance:
 
     The basis data is built on first use, at most once per instance:
     basis_tensor is the orthonormal basis of g as a (dim_g, N, N) array,
-    filled by one scatter from the algebra's index tables; basis_vecs holds
-    the matching real flattenings, so coordinates of X in the basis are
+    filled by one scatter from the algebra's index tables; basis_entries
+    lists its nonzero entries; basis_vecs holds the matching real
+    flattenings, so coordinates of X in the basis are
     basis_vecs @ mat_to_vec(X); sigma_coords is the involution in those
-    coordinates and sigma_eigh its eigh, the one dim_g x dim_g eigensolve.
-    Their readers are to_coords, from_coords, the d x d route of the spindle
-    module (ad_matrix and its callers) and verify's structural checks.
-    dim_g, k_dim, p_dim, the tangency test and spindle_number need none."""
+    coordinates, joined from basis_entries and sigma's signed permutation
+    of entry positions with no dense product, and sigma_eigh its eigh, the
+    one dim_g x dim_g eigensolve. Their readers are to_coords,
+    from_coords, the d x d route of the spindle module (ad_matrix and its
+    callers) and verify's structural checks. dim_g, k_dim, p_dim, the
+    tangency test and spindle_number need none."""
 
     family: SpaceFamily
     ambient_dim: int
@@ -633,11 +639,61 @@ class SpaceInstance:
         return mat_to_vec(self.basis_tensor)
 
     @cached_property
+    def basis_entries(self) -> tuple:
+        """The nonzero entries of basis_tensor as (element, position, value)
+        arrays, position r*N + c, in element order: 1 to N per element."""
+        flat = self.basis_tensor.reshape(len(self.basis_tensor), -1)
+        element, position = np.nonzero(flat)
+        return element, position, flat[element, position]
+
+    def _sigma_positions(self) -> tuple:
+        """sigma as a signed permutation of entry positions, (source, sign,
+        conj): sigma(X).flat[i] = sign[i] * op(X.flat[source[i]]), op the
+        entrywise conjugation if conj, else the identity. Read off the
+        images of the probe P with P.flat[j] = j + 1, which such a sigma
+        maps to sign * (source + 1), and of i*P, which it maps to +-i times that."""
+        n2 = self.ambient_dim**2
+        probe = np.arange(1.0, n2 + 1.0).reshape(self.ambient_dim, -1) + 0j
+        image, image_i = (self._sigma(x).ravel() for x in (probe, 1j * probe))
+        sign = np.sign(image.real)
+        source = np.rint(np.abs(image.real)).astype(np.intp) - 1
+        plain, conj = np.array_equal(image_i, 1j * image), np.array_equal(image_i, -1j * image)
+        if not (
+            np.array_equal(image, sign * (source + 1))
+            and np.array_equal(np.sort(source), np.arange(n2))
+            and plain != conj
+        ):
+            raise CatalogInconsistencyError(
+                f"{self.family}: sigma is not a signed permutation of the matrix entries "
+                "with one conjugation for all of them"
+            )
+        return source, sign, conj
+
+    @cached_property
     def sigma_coords(self) -> np.ndarray:
         """The involution in coordinates. The basis is orthonormal for
         <X,Y> = -Re tr(XY), so this is a symmetric orthogonal matrix, and
-        its trace must give the family's k_dim."""
-        coords = self.basis_vecs @ mat_to_vec(self._sigma(self.basis_tensor)).T
+        its trace must give the family's k_dim.
+
+        Entry (e, f) is Re sum conj(B_e[i]) sigma(B_f)[i] over the positions
+        i where both are nonzero, and sigma(B_f)[i] = sign[i] op(B_f[source[i]])
+        (_sigma_positions): a join of basis_entries with itself, each entry
+        of B_e at i against every entry at source[i], summed by one
+        np.add.at. No sigma image of the basis and no dense product is built."""
+        element, position, value = self.basis_entries
+        source, sign, conj = self._sigma_positions()
+        order = np.argsort(position, kind="stable")
+        count = np.bincount(position, minlength=len(source))
+        start = np.cumsum(count) - count
+        at_source = source[position]
+        partners = count[at_source]  # entries at the source of each entry
+        left = np.repeat(np.arange(len(position)), partners)
+        offset = np.arange(len(left)) - np.repeat(np.cumsum(partners) - partners, partners)
+        right = order[np.repeat(start[at_source], partners) + offset]
+        image = value[right].conj() if conj else value[right]
+        terms = (value[left].conj() * image).real * sign[position[left]]
+        coords = np.zeros((len(self.basis_tensor),) * 2)
+        np.add.at(coords, (element[left], element[right]), terms)
         trace = float(np.trace(coords))
         k_dim_f = (self.dim_g + trace) / 2.0
         if abs(k_dim_f - self.k_dim) > 1e-6:
@@ -669,7 +725,8 @@ class SpaceInstance:
         """sigma on a matrix, or on each matrix of a (..., N, N) stack,
         without the checks of apply_sigma."""
         out = np.ascontiguousarray(self.family._spec.sigma(m, *self.family.params))
-        # C order and +0.0 zeros, as the dense product gave: sigma_coords' BLAS and eigh see both.
+        # C order and +0.0 zeros, as the product M op(m) M* gave: the BLAS
+        # products of verify's automorphism check and of _adjoint_flags see both.
         out += 0.0
         return out
 

@@ -1,13 +1,15 @@
 """build_space without a basis.
 
 dim g and dim k come from formulas, tangency from each algebra's N x N
-orthogonal projector, and basis_tensor, basis_vecs and sigma_coords are
-built on first use. The tests here hold the formulas to the d x d data,
-the projector to the basis route it replaced, and spindle_number and
-`analyze` to running with no basis at all.
+orthogonal projector, and basis_tensor, basis_entries, basis_vecs,
+sigma_coords and sigma_eigh are built on first use, each once. The tests
+here hold the formulas to the d x d data, the projector to the basis
+route it replaced, and spindle_number and `analyze` to running with no
+basis at all.
 """
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -16,13 +18,20 @@ from spindles import cli, spaces
 from spindles.cli import main
 from spindles.errors import DimensionMismatchError, SpindleError
 from spindles.linalg import exp_generic
-from spindles.spaces import FAMILY_TAGS, SpaceFamily, build_space, canonical_element, sweep_families
+from spindles.spaces import (
+    FAMILY_TAGS,
+    SpaceFamily,
+    SpaceInstance,
+    build_space,
+    canonical_element,
+    sweep_families,
+)
 from spindles.spindle import ad_spectrum, closed_form_lambda, normalize_canonical, spindle_number
 from test_golden import LARGE_FAMILIES
 from test_spectrum import CAP6, k_element, p_element, small_family
 
 EPS = 1e-9
-BASIS_KEYS = {"basis_tensor", "basis_vecs", "sigma_coords", "sigma_eigh"}
+BASIS_KEYS = {"basis_tensor", "basis_entries", "basis_vecs", "sigma_coords", "sigma_eigh"}
 
 
 def basis_residual(space, m) -> float:
@@ -86,14 +95,26 @@ class TestLazyBasis:
             return spec.basis(n)
 
         monkeypatch.setitem(spaces._FAMILIES, "CII", replace(spec, basis=counted))
+        built = []
+        for key in BASIS_KEYS:
+            func = vars(SpaceInstance)[key].func
+
+            def recorded(self, func=func, key=key):
+                built.append(key)
+                return func(self)
+
+            prop = cached_property(recorded)
+            prop.__set_name__(SpaceInstance, key)
+            monkeypatch.setattr(SpaceInstance, key, prop)
         space = build_space(family)
         assert not BASIS_KEYS & set(vars(space))
-        assert calls == []
+        assert calls == [] and built == []
         coords = space.to_coords(canonical_element(family))
         space.from_coords(space.sigma_coords @ coords)
-        assert space.sigma_eigh is space.sigma_eigh
-        assert space.basis_tensor is space.basis_tensor
+        for key in BASIS_KEYS:
+            assert getattr(space, key) is getattr(space, key)
         assert BASIS_KEYS <= set(vars(space))
+        assert sorted(built) == sorted(BASIS_KEYS)
         assert calls == [space.ambient_dim]
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)

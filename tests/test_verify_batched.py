@@ -4,10 +4,12 @@ against the per-pair loops they replaced.
 The oracles below are the earlier code of structural_checks and
 exp_agreement_check, kept verbatim apart from names: one commutator, one
 coordinate round trip and one sigma application per sampled pair, and
-one exp_generic (one eigendecomposition) per angle. The batched code must
-print the same CheckResult, digit for digit, on every cap-6 space and on
-every cap-8 space whose pairs are drawn at random, and must fail the same
-checks when the basis or the involution is corrupted.
+one exp_generic (one eigendecomposition) per angle. The one exception is
+the graded check, which applies sigma_coords to the stacked coordinates
+of its pairs in one product, as structural_checks does. The batched code
+must print the same CheckResult, digit for digit, on every cap-6 space
+and on every cap-8 space whose pairs are drawn at random, and must fail
+the same checks when the basis or the involution is corrupted.
 """
 
 import random
@@ -105,12 +107,17 @@ def oracle_structural_checks(space, eps=None):
     ew, ev = np.linalg.eigh((s + s.T) / 2.0)
     signs = np.where(ew > 0.0, 1.0, -1.0)
     mats = np.tensordot(ev.T, space.basis_tensor, axes=1)
+    pairs = oracle_pairs(space.dim_g, seed=1)
+    brackets = [commutator(mats[i], mats[j]) for i, j in pairs]
+    # s is applied once to the stacked coordinates, as structural_checks
+    # does: a per-pair s @ c (gemv) and the stacked product (gemm) may
+    # round differently in the last bit.
+    cs = np.array([space.to_coords(b) for b in brackets])
+    images = cs @ s.T
     graded_dev = 0.0
-    for i, j in oracle_pairs(space.dim_g, seed=1):
-        b = commutator(mats[i], mats[j])
-        c = space.to_coords(b)
+    for (i, j), b, c, image in zip(pairs, brackets, cs, images):
         want = signs[i] * signs[j]
-        wrong = (c - want * (s @ c)) / 2.0
+        wrong = (c - want * image) / 2.0
         scale = 1.0 + float(np.max(np.abs(b)))
         graded_dev = max(graded_dev, float(np.linalg.norm(wrong)) / scale)
     results.append(
@@ -201,7 +208,11 @@ def scale_basis_element(space):
     "params, mutate, expect",
     [
         (("AI", 2, 3), flip_sigma_row, {"graded_bracket_closure"}),
-        (("AII", 2, 2), flip_sigma_row, {"involution_orthogonal_involutive"}),
+        (
+            ("AII", 2, 2),
+            flip_sigma_row,
+            {"involution_orthogonal_involutive", "graded_bracket_closure"},
+        ),
         (("AI", 4, 5), flip_sigma_row, {"graded_bracket_closure"}),
         (("AI", 2, 3), scale_basis_element, {"basis_orthonormal", "bracket_closure"}),
         (("AIII", 2), scale_basis_element, {"basis_orthonormal", "bracket_closure"}),
@@ -219,12 +230,13 @@ def test_corrupted_data_fails_the_same_checks(params, mutate, expect):
 
 
 # tracemalloc peak of structural_checks on AII(6,6) (N = 24, dim g = 575),
-# set by building the basis data: 27.8 MiB with the per-pair loops, 25.3
-# MiB now that sigma_coords frees its conjugated copy of the basis early.
-# The bound is the per-pair value. Stacks the size of the whole basis
+# set by building the basis data: 27.8 MiB while sigma_coords was the dense
+# product of the flattened basis and its sigma image, 19.0 MiB now that it
+# joins the basis entry table with sigma's permutation of positions. The
+# bound leaves 2 MiB (10%) over that. Stacks the size of the whole basis
 # (sigma of every basis element and every graded matrix, 5.3 MiB each)
 # would raise the peak past it.
-AII66_PEAK_MIB = 28.5
+AII66_PEAK_MIB = 21.0
 
 
 def test_structural_checks_peak_memory():
