@@ -94,7 +94,9 @@ class FamilySpec:
     lower_bound: int  # least p + q, or least n
     ambient_dim: Callable[..., int]
     # The algebra g, from N (see _SU, _SO, _SP):
-    basis: Callable[[int], np.ndarray]  # orthonormal basis, (dim g, N, N)
+    # The orthonormal basis as its entry table (element, position, value):
+    # SpaceInstance.basis_entries, from which every other basis form is derived.
+    basis: Callable[[int], tuple]
     dim_g: Callable[[int], int]
     roots: Callable[[np.ndarray], np.ndarray]  # root rule, from eig(-i*xi)
     project: Callable[[np.ndarray], np.ndarray]  # orthogonal projector onto g
@@ -178,22 +180,24 @@ def _sp_dim(big: int) -> int:
     return big * (big + 1) // 2
 
 
-# Basis tensors from index tables: each algebra lists its nonzero entries as
-# groups of (element, row, col, value) arrays, and one scatter fills the
-# (dim g, N, N) tensor. Values at (j, k) and (k, j) of a pair element, one
-# row per element: the real and the imaginary anti-Hermitian pair, and the
-# real and the imaginary symmetric pair.
+# Bases as entry tables: each algebra lists its nonzero entries as groups
+# of (element, row, col, value) arrays, and _entries joins them into the
+# table (element, position r*N + c, value) that is the basis. The dense
+# (dim g, N, N) tensor is one scatter of that table. Values at (j, k) and
+# (k, j) of a pair element, one row per element: the real and the
+# imaginary anti-Hermitian pair, and the real and the imaginary symmetric pair.
 _ANTI_HERMITIAN = np.array([[1, -1], [1j, 1j]])
 _SYMMETRIC = np.array([[1, 1], [1j, 1j]])
 _RT2 = math.sqrt(2.0)
 
 
-def _scatter(m: int, dim: int, groups) -> np.ndarray:
-    """The (dim, m, m) tensor with the entries of the index groups, else 0."""
+def _entries(m: int, groups) -> tuple:
+    """The entries of the index groups as (element, position, value) arrays,
+    position r*m + c, ordered by element and then by position."""
     e, r, c, v = (np.concatenate(parts) for parts in zip(*groups))
-    out = np.zeros((dim, m, m), dtype=complex)
-    out[e, r, c] = v
-    return out
+    position = r * m + c
+    order = np.lexsort((position, e))
+    return e[order], position[order], v[order]
 
 
 def _pairs(n: int, start: int, values: np.ndarray, shift: int = 0) -> tuple:
@@ -206,21 +210,21 @@ def _pairs(n: int, start: int, values: np.ndarray, shift: int = 0) -> tuple:
     return np.r_[e, e], np.r_[j, k], np.r_[k, j] + shift, np.r_[w, w2]
 
 
-def _su_basis(m: int) -> np.ndarray:
+def _su_basis(m: int) -> tuple:
     """Orthonormal basis of su(m) under <X,Y> = -Re tr(XY): the two
     anti-Hermitian pairs of each j < k over sqrt(2), then for l = 1..m-1 the
     diagonal direction i(1, ..., 1, -l, 0, ..., 0) over its norm sqrt(l + l^2)."""
     l, i = (ix[1:] for ix in np.tril_indices(m))
     diagonal = (m * (m - 1) + l - 1, i, i, 1j * np.where(i < l, 1.0, -l) / np.sqrt(l + l * l))
-    return _scatter(m, _su_dim(m), [_pairs(m, 0, _ANTI_HERMITIAN / _RT2), diagonal])
+    return _entries(m, [_pairs(m, 0, _ANTI_HERMITIAN / _RT2), diagonal])
 
 
-def _so_basis(m: int) -> np.ndarray:
+def _so_basis(m: int) -> tuple:
     """Orthonormal basis of so(m): the real anti-Hermitian pair of each j < k over sqrt(2)."""
-    return _scatter(m, _so_dim(m), [_pairs(m, 0, _ANTI_HERMITIAN[:1] / _RT2)])
+    return _entries(m, [_pairs(m, 0, _ANTI_HERMITIAN[:1] / _RT2)])
 
 
-def _sp_basis(big: int) -> np.ndarray:
+def _sp_basis(big: int) -> tuple:
     """Orthonormal basis of sp(n) inside u(2n), big = 2n:
     X = [[P, Q], [-Q*, -P^T]] with P anti-Hermitian and Q complex symmetric.
     The tables give the top n rows, P = i E_jj / sqrt(2), the anti-Hermitian
@@ -237,7 +241,7 @@ def _sp_basis(big: int) -> np.ndarray:
     e, r, c, v = (np.concatenate(parts) for parts in zip(*top))
     inner = c < n  # an entry of P, else of Q
     below = (e, c + n * inner, r + n * inner, np.where(inner, -v, -v.conj()))
-    return _scatter(big, _sp_dim(big), [(e, r, c, v), below])
+    return _entries(big, [(e, r, c, v), below])
 
 
 # Root rules (Fulton-Harris): the frequencies of ad(xi) on g from the
@@ -605,18 +609,19 @@ class SpaceInstance:
     """A realized symmetric space: ambient size, dimension split and
     group-theoretic side data, with the family's involution as _sigma.
 
-    The basis data is built on first use, at most once per instance:
-    basis_tensor is the orthonormal basis of g as a (dim_g, N, N) array,
-    filled by one scatter from the algebra's index tables; basis_entries
-    lists its nonzero entries; basis_vecs holds the matching real
-    flattenings, so coordinates of X in the basis are
-    basis_vecs @ mat_to_vec(X); sigma_coords is the involution in those
-    coordinates, joined from basis_entries and sigma's signed permutation
-    of entry positions with no dense product, and sigma_eigh its eigh, the
-    one dim_g x dim_g eigensolve. Their readers are to_coords,
-    from_coords, the d x d route of the spindle module (ad_matrix and its
-    callers) and verify's structural checks. dim_g, k_dim, p_dim, the
-    tangency test and spindle_number need none."""
+    The basis data is built on first use, at most once per instance.
+    basis_entries is the orthonormal basis of g: its nonzero entries as
+    (element, position r*N + c, value) arrays, element by element, 1 to N
+    per element, from the algebra's index tables. to_coords and
+    from_coords are sums over that table, O(nnz). sigma_coords is the
+    involution in those coordinates, joined from basis_entries and sigma's
+    signed permutation of entry positions with no dense product, and
+    sigma_eigh its eigh, the one dim_g x dim_g eigensolve. basis_tensor,
+    the (dim_g, N, N) array, is one scatter of the table, and basis_vecs
+    its real flattenings; only the dense readers build them: ad_matrix
+    and cartan_split of the spindle module and verify's structural
+    checks. dim_g, k_dim, p_dim, the tangency test and spindle_number
+    need none of this."""
 
     family: SpaceFamily
     ambient_dim: int
@@ -631,20 +636,19 @@ class SpaceInstance:
         return self.family._spec.dim_g(self.ambient_dim)
 
     @cached_property
-    def basis_tensor(self) -> np.ndarray:
+    def basis_entries(self) -> tuple:
         return self.family._spec.basis(self.ambient_dim)
+
+    @cached_property
+    def basis_tensor(self) -> np.ndarray:
+        element, position, value = self.basis_entries
+        out = np.zeros((self.dim_g, self.ambient_dim**2), dtype=complex)
+        out[element, position] = value
+        return out.reshape(self.dim_g, self.ambient_dim, self.ambient_dim)
 
     @cached_property
     def basis_vecs(self) -> np.ndarray:
         return mat_to_vec(self.basis_tensor)
-
-    @cached_property
-    def basis_entries(self) -> tuple:
-        """The nonzero entries of basis_tensor as (element, position, value)
-        arrays, position r*N + c, in element order: 1 to N per element."""
-        flat = self.basis_tensor.reshape(len(self.basis_tensor), -1)
-        element, position = np.nonzero(flat)
-        return element, position, flat[element, position]
 
     def _sigma_positions(self) -> tuple:
         """sigma as a signed permutation of entry positions, (source, sign,
@@ -692,7 +696,7 @@ class SpaceInstance:
         right = order[np.repeat(start[at_source], partners) + offset]
         image = value[right].conj() if conj else value[right]
         terms = (value[left].conj() * image).real * sign[position[left]]
-        coords = np.zeros((len(self.basis_tensor),) * 2)
+        coords = np.zeros((self.dim_g,) * 2)
         np.add.at(coords, (element[left], element[right]), terms)
         trace = float(np.trace(coords))
         k_dim_f = (self.dim_g + trace) / 2.0
@@ -734,10 +738,25 @@ class SpaceInstance:
         return self._sigma(self._matrix(x))
 
     def to_coords(self, x) -> np.ndarray:
-        return self.basis_vecs @ mat_to_vec(self._matrix(x))
+        """<B_e, x> = Re sum_i conj(B_e[i]) x[i], summed per element over basis_entries."""
+        element, position, value = self.basis_entries
+        terms = (value.conj() * self._matrix(x).ravel()[position]).real
+        return np.bincount(element, terms, minlength=self.dim_g)
 
     def from_coords(self, coords) -> np.ndarray:
-        return np.tensordot(np.asarray(coords, dtype=float), self.basis_tensor, axes=1)
+        """sum_e coords[e] B_e, summed per position over basis_entries."""
+        c = np.asarray(coords, dtype=float)
+        if c.shape != (self.dim_g,):
+            raise DimensionMismatchError(
+                f"{self.family}: expected {self.dim_g} coordinates (dim g), got shape {c.shape}"
+            )
+        element, position, value = self.basis_entries
+        terms = c[element] * value
+        n2 = self.ambient_dim**2
+        out = np.empty(n2, dtype=complex)
+        out.real = np.bincount(position, terms.real, minlength=n2)
+        out.imag = np.bincount(position, terms.imag, minlength=n2)
+        return out.reshape(self.ambient_dim, self.ambient_dim)
 
     def _residual(self, m: np.ndarray) -> float:
         """Max-norm distance from m, a matrix that _matrix has passed, to g,

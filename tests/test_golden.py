@@ -12,7 +12,8 @@ of the stdout of `analyze` for one member of each family, of `profile`
 and of the stdout of the whole cap-6 battery, `verify --cap 6 --verbose`
 (2,752 checks, every printed residual included, run with one BLAS thread),
 and of the basis tensor of su(m) and so(m) for m <= 12 and of sp(n) for
-2n <= 12, as (tensor + 0.0).tobytes(), so that -0.0 and 0.0 agree.
+2n <= 12, scattered from the algebra's entry table, as
+(tensor + 0.0).tobytes(), so that -0.0 and 0.0 agree.
 Any change to a key, a value or a float's last digit shows up here.
 """
 
@@ -22,6 +23,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from pathlib import Path
 
@@ -144,5 +146,7 @@ def test_verify_cap6_stdout():
 @pytest.mark.parametrize("name", GOLDEN["basis_tensor"])
 def test_basis_tensor(name):
     algebra, size = name[:2], int(name[3:-1])
-    tensor = getattr(spaces, f"_{algebra}_basis")(size)
+    element, position, value = getattr(spaces, f"_{algebra}_basis")(size)
+    tensor = np.zeros((element[-1] + 1, size * size), dtype=complex)
+    tensor[element, position] = value
     assert digest((tensor + 0.0).tobytes()) == GOLDEN["basis_tensor"][name]

@@ -90,9 +90,11 @@ def test_builds_no_dense_data(monkeypatch):
 
 
 # tracemalloc peak of sigma_coords on AI(19,21) (N = 40, dim g = 1599),
-# basis included: 60.5 MiB, the basis tensor (39.0 MiB) and the result
-# (19.5 MiB). The dense product measured 156.2 MiB. Any (dim g, 2N^2)
-# flattening or (dim g, N, N) sigma image adds 39.0 MiB and breaks the bound.
+# basis included: 60.5 MiB while the entry table was read off the basis
+# tensor (39.0 MiB), 21.5 MiB now that the table is the basis, most of it
+# the result (19.5 MiB); tests/test_basis_entries.py pins the latter. The
+# dense product measured 156.2 MiB. Any (dim g, 2N^2) flattening or
+# (dim g, N, N) sigma image adds 39.0 MiB to the tensor and breaks the bound.
 AI1921_PEAK_MIB = 64.0
 
 

@@ -23,7 +23,6 @@ from spindles.linalg import (
     RationalAngle,
     exp_generic,
     exp_structured,
-    mat_to_vec,
     resolve_eps,
 )
 from spindles import verification
@@ -196,12 +195,12 @@ def flip_sigma_row(space):
 
 def scale_basis_element(space):
     """One basis element, the first one the bracket pairs use, scaled by
-    1 + 1e-6; sigma_coords stays the one of the clean basis."""
+    1 + 1e-6 in basis_entries, from which every other basis form is
+    derived; sigma_coords stays the one of the clean basis."""
     space.sigma_coords
-    tensor = space.basis_tensor.copy()
-    tensor[oracle_pairs(space.dim_g)[0][0]] *= 1.0 + 1e-6
-    vars(space)["basis_tensor"] = tensor
-    vars(space)["basis_vecs"] = mat_to_vec(tensor)
+    element, position, value = space.basis_entries
+    scaled = np.where(element == oracle_pairs(space.dim_g)[0][0], value * (1.0 + 1e-6), value)
+    vars(space)["basis_entries"] = (element, position, scaled)
 
 
 @pytest.mark.parametrize(
