@@ -200,6 +200,35 @@ def _entries(m: int, groups) -> tuple:
     return e[order], position[order], v[order]
 
 
+def _join(left: np.ndarray, right: np.ndarray, size: int, order: np.ndarray | None = None) -> tuple:
+    """(i, j): every pair of indices with left[i] == right[j], keys in
+    range(size), i ascending and, for each i, j in the order `order` of
+    right (np.argsort(right, kind="stable") when None)."""
+    if order is None:
+        order = np.argsort(right, kind="stable")
+    count = np.bincount(right, minlength=size)
+    start = np.cumsum(count) - count
+    partners = count[left]
+    i = np.repeat(np.arange(len(left)), partners)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(partners) - partners, partners)
+    return i, order[np.repeat(start[left], partners) + offset]
+
+
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """The connected components of the graph with the symmetric (d, d)
+    adjacency pattern, as the least index of each vertex's component: each
+    pass lowers every label to the least label among its neighbours, so the
+    passes stop after the largest component's diameter."""
+    rows, cols = np.nonzero(pattern)
+    label = np.arange(len(pattern))
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
 def _pairs(n: int, start: int, values: np.ndarray, shift: int = 0) -> tuple:
     """The index group of one element per row (w, w') of values and pair
     j < k of range(n), numbered pair by pair from start: w at (j, k + shift)
@@ -612,16 +641,17 @@ class SpaceInstance:
     The basis data is built on first use, at most once per instance.
     basis_entries is the orthonormal basis of g: its nonzero entries as
     (element, position r*N + c, value) arrays, element by element, 1 to N
-    per element, from the algebra's index tables. to_coords and
-    from_coords are sums over that table, O(nnz). sigma_coords is the
-    involution in those coordinates, joined from basis_entries and sigma's
-    signed permutation of entry positions with no dense product, and
-    sigma_eigh its eigh, the one dim_g x dim_g eigensolve. basis_tensor,
-    the (dim_g, N, N) array, is one scatter of the table, and basis_vecs
-    its real flattenings; only the dense readers build them: ad_matrix
-    and cartan_split of the spindle module and verify's structural
-    checks. dim_g, k_dim, p_dim, the tangency test and spindle_number
-    need none of this."""
+    per element, from the algebra's index tables. Every basis read goes
+    through that table: to_coords and from_coords (and _gather and
+    _scatter on stacks) are sums over it, O(nnz); sigma_coords, the
+    involution in those coordinates, and _gram, the Gram matrix, join it
+    with itself on entry positions (_join_coords); ad_matrix of the
+    spindle module joins it on rows and on columns. sigma_eigh is the
+    eigendecomposition of sigma_coords, one small eigh per connected
+    component of its nonzero pattern. basis_tensor, the (dim_g, N, N)
+    array, and basis_vecs, its real flattenings, are scatters of the table
+    that no module of the package reads. dim_g, k_dim, p_dim, the tangency
+    test and spindle_number need none of this."""
 
     family: SpaceFamily
     ambient_dim: int
@@ -674,30 +704,42 @@ class SpaceInstance:
         return source, sign, conj
 
     @cached_property
+    def _position_order(self) -> np.ndarray:
+        """The entries of basis_entries by position, stably (so by element
+        within a position): the order that every join on positions reads."""
+        return np.argsort(self.basis_entries[1], kind="stable")
+
+    def _join_coords(self, source: np.ndarray, sign: np.ndarray, conj: bool) -> np.ndarray:
+        """The dim_g x dim_g matrix of <B_e, T(B_f)> for the map T with
+        T(X).flat[i] = sign[i] op(X.flat[source[i]]), op the entrywise
+        conjugation if conj, else the identity.
+
+        Entry (e, f) is Re sum conj(B_e[i]) sign[i] op(B_f[source[i]]) over
+        the positions i where both are nonzero: a join of basis_entries with
+        itself, each entry of B_e at i against every entry at source[i],
+        summed by one np.add.at. No image of the basis and no dense product
+        is built."""
+        element, position, value = self.basis_entries
+        left, right = _join(source[position], position, len(source), self._position_order)
+        image = value[right].conj() if conj else value[right]
+        terms = (value[left].conj() * image).real * sign[position[left]]
+        d = self.dim_g
+        out = np.zeros(d * d)
+        np.add.at(out, element[left] * d + element[right], terms)
+        return out.reshape(d, d)
+
+    def _gram(self) -> np.ndarray:
+        """The Gram matrix <B_e, B_f> of the basis: _join_coords at the identity map."""
+        n2 = self.ambient_dim**2
+        return self._join_coords(np.arange(n2), np.ones(n2), False)
+
+    @cached_property
     def sigma_coords(self) -> np.ndarray:
         """The involution in coordinates. The basis is orthonormal for
         <X,Y> = -Re tr(XY), so this is a symmetric orthogonal matrix, and
-        its trace must give the family's k_dim.
-
-        Entry (e, f) is Re sum conj(B_e[i]) sigma(B_f)[i] over the positions
-        i where both are nonzero, and sigma(B_f)[i] = sign[i] op(B_f[source[i]])
-        (_sigma_positions): a join of basis_entries with itself, each entry
-        of B_e at i against every entry at source[i], summed by one
-        np.add.at. No sigma image of the basis and no dense product is built."""
-        element, position, value = self.basis_entries
-        source, sign, conj = self._sigma_positions()
-        order = np.argsort(position, kind="stable")
-        count = np.bincount(position, minlength=len(source))
-        start = np.cumsum(count) - count
-        at_source = source[position]
-        partners = count[at_source]  # entries at the source of each entry
-        left = np.repeat(np.arange(len(position)), partners)
-        offset = np.arange(len(left)) - np.repeat(np.cumsum(partners) - partners, partners)
-        right = order[np.repeat(start[at_source], partners) + offset]
-        image = value[right].conj() if conj else value[right]
-        terms = (value[left].conj() * image).real * sign[position[left]]
-        coords = np.zeros((self.dim_g,) * 2)
-        np.add.at(coords, (element[left], element[right]), terms)
+        its trace must give the family's k_dim. It is _join_coords at
+        sigma's signed permutation of entry positions (_sigma_positions)."""
+        coords = self._join_coords(*self._sigma_positions())
         trace = float(np.trace(coords))
         k_dim_f = (self.dim_g + trace) / 2.0
         if abs(k_dim_f - self.k_dim) > 1e-6:
@@ -709,9 +751,31 @@ class SpaceInstance:
 
     @cached_property
     def sigma_eigh(self) -> tuple:
-        """eigh of the symmetrized sigma_coords, unchecked: verify reports a
-        corrupted sigma_coords, and the d x d spectrum route refuses it."""
-        return np.linalg.eigh((self.sigma_coords + self.sigma_coords.T) / 2.0)
+        """(w, v) as np.linalg.eigh gives them for the symmetrized
+        sigma_coords, unchecked: verify reports a corrupted sigma_coords, and
+        the d x d spectrum route refuses it.
+
+        sigma_coords is a signed permutation but on su's Cartan block, so
+        its nonzero pattern falls into small connected components (at most
+        31 elements up to parameter 8). The matrix is block diagonal over
+        them, read with no threshold, and each component size takes one
+        batched eigh of its blocks; the eigenvalues are sorted ascending."""
+        s = (self.sigma_coords + self.sigma_coords.T) / 2.0
+        label = _components(s != 0.0)
+        size = np.bincount(label, minlength=len(s))[label]
+        members = np.lexsort((label, size))  # components by size, each in index order
+        w = np.empty(len(s))
+        v = np.zeros_like(s)
+        start = 0
+        for m in np.unique(size):
+            block = members[start : start + np.count_nonzero(size == m)].reshape(-1, m)
+            columns = np.arange(start, start + block.size).reshape(-1, m)
+            w[columns], v[block[:, :, None], columns[:, None, :]] = np.linalg.eigh(
+                s[block[:, :, None], block[:, None, :]]
+            )
+            start += block.size
+        ascending = np.argsort(w, kind="stable")
+        return w[ascending], v[:, ascending]
 
     def _matrix(self, x) -> np.ndarray:
         """x as a square matrix of the ambient size."""
@@ -739,9 +803,7 @@ class SpaceInstance:
 
     def to_coords(self, x) -> np.ndarray:
         """<B_e, x> = Re sum_i conj(B_e[i]) x[i], summed per element over basis_entries."""
-        element, position, value = self.basis_entries
-        terms = (value.conj() * self._matrix(x).ravel()[position]).real
-        return np.bincount(element, terms, minlength=self.dim_g)
+        return self._gather(self._matrix(x)[None])[0]
 
     def from_coords(self, coords) -> np.ndarray:
         """sum_e coords[e] B_e, summed per position over basis_entries."""
@@ -750,13 +812,41 @@ class SpaceInstance:
             raise DimensionMismatchError(
                 f"{self.family}: expected {self.dim_g} coordinates (dim g), got shape {c.shape}"
             )
+        return self._scatter(c[None])[0]
+
+    def _gather(self, stack: np.ndarray) -> np.ndarray:
+        """to_coords of each matrix of an (m, N, N) stack, as an (m, dim_g) array."""
         element, position, value = self.basis_entries
-        terms = c[element] * value
-        n2 = self.ambient_dim**2
-        out = np.empty(n2, dtype=complex)
-        out.real = np.bincount(position, terms.real, minlength=n2)
-        out.imag = np.bincount(position, terms.imag, minlength=n2)
-        return out.reshape(self.ambient_dim, self.ambient_dim)
+        m, d = len(stack), self.dim_g
+        terms = (value.conj() * stack.reshape(m, -1)[:, position]).real
+        key = np.arange(0, m * d, d)[:, None] + element
+        return np.bincount(key.ravel(), terms.ravel(), minlength=m * d).reshape(m, d)
+
+    def _scatter(self, coords: np.ndarray) -> np.ndarray:
+        """from_coords of each row of an (m, dim_g) array, as an (m, N, N)
+        stack. Only the nonzero coefficients are read: the table is sorted
+        by element, so each one gathers its element's entries by offset,
+        and each position sums its terms in element order."""
+        element, position, value = self.basis_entries
+        row, elem = np.nonzero(coords)
+        per_element = np.bincount(element, minlength=self.dim_g)
+        count = per_element[elem]
+        k = np.repeat(np.arange(len(elem)), count)
+        first = np.cumsum(per_element)[elem] - np.cumsum(count)  # start of elem, less k's offset
+        entry = np.arange(len(k)) + np.repeat(first, count)
+        m, n2 = len(coords), self.ambient_dim**2
+        key = row[k] * n2 + position[entry]
+        terms = coords[row, elem][k] * value[entry]
+        out = np.empty(m * n2, dtype=complex)
+        out.real = np.bincount(key, terms.real, minlength=m * n2)
+        out.imag = np.bincount(key, terms.imag, minlength=m * n2)
+        return out.reshape(m, self.ambient_dim, self.ambient_dim)
+
+    def _elements(self, idx: np.ndarray) -> np.ndarray:
+        """The basis elements B_idx as a (len(idx), N, N) stack."""
+        unit = np.zeros((len(idx), self.dim_g))
+        unit[np.arange(len(idx)), idx] = 1.0
+        return self._scatter(unit)
 
     def _residual(self, m: np.ndarray) -> float:
         """Max-norm distance from m, a matrix that _matrix has passed, to g,

@@ -22,11 +22,13 @@ family's root rule, in O(N^3), and build no dim g x dim g matrix and no
 basis; spindle_number's one eigendecomposition of xi also serves its
 numeric scan and exp(pi*xi). ad_matrix, ad_spectrum, cartan_split and
 is_extrinsically_symmetric_type work on the matrix of ad(xi) on g
-instead; they are the independent second route, and the first call of
-one on a space builds its basis (O(dim g^2 N^2) time and memory).
-ad_spectrum and cartan_split take bases of k and p from the space's
-sigma_eigh, which verify's graded-closure check shares; one SVD of ad(xi)
-from k to p gives the frequencies and the pieces k_nu and p_nu.
+instead; they are the independent second route. ad_matrix joins the
+space's basis entry table with itself on rows and on columns, so it
+builds no (dim g, N, N) array. ad_spectrum and cartan_split take bases
+of k and p from the space's sigma_eigh, which verify's graded-closure
+check shares; one SVD of ad(xi) from k to p gives the frequencies, and
+its singular vectors, which only cartan_split computes, the pieces k_nu
+and p_nu.
 
 A slice at a rational time is integer arithmetic: _lattice_row is the one
 rule that profile's rows (SpindleReport.profile_rows) and the report's
@@ -72,13 +74,13 @@ from .linalg import (
     _sin_pi,
     ensure_square,
     exp_generic,
-    mat_to_vec,
     rationalize,
     resolve_eps,
 )
 from .spaces import (
     SpaceFamily,
     SpaceInstance,
+    _join,
     _shared_json,
     canonical_element,
     stated_membership,
@@ -160,11 +162,26 @@ def _require_tangent(space: SpaceInstance, m: np.ndarray, eps: float | None) -> 
 
 def ad_matrix(space: SpaceInstance, xi, eps: float | None = None) -> np.ndarray:
     """Real matrix of ad(xi) on g in the orthonormal basis (antisymmetric
-    for xi in g). Requires xi in p."""
+    for xi in g). Requires xi in p.
+
+    Entry (e, f) is <B_e, xi B_f> - <B_e, B_f xi>, two joins of the basis
+    entry table with itself. (xi B_f)[r, c] sums xi[r, r'] B_f[r', c], so
+    the first pairs each entry of B_e with the entries of B_f in its column,
+    at the factor xi[r, r']; (B_f xi)[r, c] sums B_f[r, c'] xi[c', c], so
+    the second pairs it with those in its row, at xi^T[c, c']. Each join is
+    summed into entry e*dim_g + f by one np.add.at or np.subtract.at; no
+    (dim g, N, N) bracket stack is built."""
     m = ensure_square(xi)
     _require_tangent(space, m, eps)
-    brackets = m[None, :, :] @ space.basis_tensor - space.basis_tensor @ m[None, :, :]
-    return space.basis_vecs @ mat_to_vec(brackets).T
+    element, position, value = space.basis_entries
+    n, d = space.ambient_dim, space.dim_g
+    row, col = np.divmod(position, n)
+    out = np.zeros(d * d)
+    for shared, other, factor, add in ((col, row, m, np.add), (row, col, m.T, np.subtract)):
+        a, b = _join(shared, shared, n)
+        terms = (value[a].conj() * factor[other[a], other[b]] * value[b]).real
+        add.at(out, element[a] * d + element[b], terms)
+    return out.reshape(d, d)
 
 
 def _bucket(values: np.ndarray, tol: float) -> list:
@@ -204,10 +221,11 @@ def _frequency_clusters(space: SpaceInstance, nu: np.ndarray) -> tuple:
     return frequencies, column_groups
 
 
-def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
-    """(spectrum, blocks): the AdSpectrum of ad(xi) from its matrix and, per
-    frequency cluster as _frequency_clusters groups them, the block (uk, up)
-    of orthonormal coordinate columns spanning its k part and its p part.
+def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray, vectors: bool = False) -> tuple:
+    """(spectrum, blocks): the AdSpectrum of ad(xi) from its matrix and, if
+    vectors, per frequency cluster as _frequency_clusters groups them, the
+    block (uk, up) of orthonormal coordinate columns spanning its k part
+    and its p part (else blocks is None).
 
     The eigenvectors uk of sigma_coords (space.sigma_eigh) with eigenvalue
     +1 span k, those up with -1 span p. For xi in p, ad(xi) maps k_nu onto
@@ -224,20 +242,28 @@ def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray) -> tuple:
             "farther than 1/2 from +-1; it is not an orthogonal involution"
         )
     uk, up = ev[:, ew > 0], ev[:, ew < 0]
-    y, sv, zt = np.linalg.svd(up.T @ admat @ uk)
+    block = up.T @ admat @ uk
+    if vectors:
+        y, sv, zt = np.linalg.svd(block)
+    else:
+        sv = np.linalg.svd(block, compute_uv=False)
     # sv descends: ascending position i is index n - 1 - i, zeros at the tail.
     n = len(sv)
     frequencies, column_groups = _frequency_clusters(space, sv[::-1])
     rank = n - len(column_groups[0])
-    blocks = [(uk @ zt[rank:].T, up @ y[:, rank:])]
-    blocks += [(uk @ zt[n - 1 - cols].T, up @ y[:, n - 1 - cols]) for cols in column_groups[1:]]
     sizes = [len(cols) for cols in column_groups[1:]]
-    spec = AdSpectrum(tuple(frequencies), (len(zt) - rank, *sizes), (len(y) - rank, *sizes))
+    spec = AdSpectrum(
+        tuple(frequencies), (uk.shape[1] - rank, *sizes), (up.shape[1] - rank, *sizes)
+    )
     if spec.dim_k != space.k_dim or spec.dim_p != space.p_dim:
         raise SpectrumBucketingError(
             f"{space.family}: multiplicities sum to ({spec.dim_k}, {spec.dim_p}), "
             f"expected ({space.k_dim}, {space.p_dim})"
         )
+    if not vectors:
+        return spec, None
+    blocks = [(uk @ zt[rank:].T, up @ y[:, rank:])]
+    blocks += [(uk @ zt[n - 1 - cols].T, up @ y[:, n - 1 - cols]) for cols in column_groups[1:]]
     return spec, blocks
 
 
@@ -279,8 +305,9 @@ def ad_spectrum(space: SpaceInstance, xi, eps: float | None = None) -> AdSpectru
 
     The nu of the eigenvalues +-i*nu of ad(xi) are its singular values
     from k to p (see _spectrum_from_ad; the first call on a space builds
-    its basis and sigma_eigh), bucketed with BUCKET_TOL, near integer
-    bucket means snapped, and each bucket's k and p singular vectors counted.
+    its basis table and sigma_eigh), bucketed with BUCKET_TOL, near integer
+    bucket means snapped, and each bucket's size counted in k and in p.
+    The SVD computes no singular vectors.
     """
     return _spectrum_from_ad(space, ad_matrix(space, xi, eps))[0]
 
@@ -376,15 +403,12 @@ def cartan_split(space: SpaceInstance, xi, eps: float | None = None) -> CartanSp
 
     Works inside coordinates, built as for ad_spectrum: the singular
     vectors of _spectrum_from_ad already lie in k or in p, so each cluster's
-    k and p columns are mapped back to matrices as they are; an empty piece
-    is a (0, N, N) stack.
+    k and p coefficient columns are scattered into matrices over the basis
+    entry table as they are; an empty piece is a (0, N, N) stack.
     """
-    spec, blocks = _spectrum_from_ad(space, ad_matrix(space, xi, eps))
+    spec, blocks = _spectrum_from_ad(space, ad_matrix(space, xi, eps), vectors=True)
     _require_canonical(space, spec, "cartan_split")
-    (k_plus, p_plus), *pieces = (
-        tuple(np.tensordot(cols.T, space.basis_tensor, axes=1) for cols in block)
-        for block in blocks
-    )
+    (k_plus, p_plus), *pieces = (tuple(space._scatter(cols.T) for cols in block) for block in blocks)
     return CartanSplit(
         spectrum=spec,
         k_plus=k_plus,

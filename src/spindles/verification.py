@@ -35,11 +35,11 @@ from .linalg import (
     RationalAngle,
     _exp_generic_many,
     _exp_structured_many,
-    mat_to_vec,
     resolve_eps,
 )
 from .spaces import (
     SpaceInstance,
+    _join,
     build_space,
     canonical_element,
     isotropy_contains,
@@ -77,12 +77,61 @@ class CheckResult:
 def _pairs(dim: int, seed: int = 0) -> tuple:
     """Index arrays (i, j) of the bracket pairs checked in an algebra of
     this dimension: every i < j up to EXHAUSTIVE_CLOSURE_DIM, above it
-    RANDOM_CLOSURE_TRIALS seeded draws."""
+    RANDOM_CLOSURE_TRIALS seeded draws with i != j."""
     if dim <= EXHAUSTIVE_CLOSURE_DIM:
         return np.triu_indices(dim, k=1)
     rng = random.Random(seed)
-    pairs = [(rng.randrange(dim), rng.randrange(dim)) for _ in range(RANDOM_CLOSURE_TRIALS)]
+    pairs = []
+    for _ in range(RANDOM_CLOSURE_TRIALS):
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        while j == i:  # a self-pair has a zero bracket: redraw its second index
+            j = rng.randrange(dim)
+        pairs.append((i, j))
     return tuple(np.array(pairs).T)
+
+
+def _sparse(m: np.ndarray) -> tuple:
+    """The nonzero entries of a square array as (rows, cols, values)."""
+    r, k = np.nonzero(m)
+    return r, k, m[r, k]
+
+
+def _times_sparse(x: np.ndarray, m: tuple) -> np.ndarray:
+    """x @ m.T for a (P, d) array x and the _sparse entries m of a (d, d)
+    array with few of them (sigma_coords, the eigenvectors of sigma_eigh),
+    summed over those entries in order by np.bincount: no BLAS product, so
+    the digits do not depend on the BLAS thread count."""
+    r, k, v = m
+    p, d = x.shape
+    key = np.arange(0, p * d, d)[:, None] + r
+    return np.bincount(key.ravel(), (x[:, k] * v).ravel(), minlength=p * d).reshape(p, d)
+
+
+def _square(m: tuple, d: int) -> np.ndarray:
+    """m @ m for the _sparse entries m of a (d, d) array: each entry (a, b)
+    joined with the entries (b, c) of row b, summed into (a, c) by np.add.at."""
+    r, k, v = m
+    left, right = _join(k, r, d)
+    out = np.zeros(d * d)
+    np.add.at(out, r[left] * d + k[right], v[left] * v[right])
+    return out.reshape(d, d)
+
+
+def _graded_factors(ev: np.ndarray, signs: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple:
+    """The graded check's factors of the pairs (i, j) of sigma eigenvector
+    indices, as two coordinate arrays: the eigenvectors themselves while
+    every pair is checked, above EXHAUSTIVE_CLOSURE_DIM seeded random unit
+    vectors, each of the whole eigenspace of its eigenvector. sigma_eigh's
+    eigenvectors each lie in one component of sigma_coords, a few basis
+    elements, so a sample of them would miss a fault in the elements
+    outside it; a random vector of an eigenspace touches all of them."""
+    if len(signs) <= EXHAUSTIVE_CLOSURE_DIM:
+        return ev.T[i], ev.T[j]
+    idx = np.concatenate((i, j))
+    weights = np.random.default_rng(1).standard_normal((len(idx), len(signs)))
+    weights *= signs == signs[idx, None]
+    weights /= np.linalg.norm(weights, axis=1, keepdims=True)
+    return tuple(_times_sparse(weights, _sparse(ev)).reshape(2, len(i), -1))
 
 
 def _brackets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,25 +147,32 @@ def _max_dev(residual: np.ndarray, scale: np.ndarray) -> float:
 def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
     """Basis/involution/bracket invariants for one space.
 
-    Besides the basis data of the space (basis_tensor, basis_vecs,
-    sigma_coords, sigma_eigh), each bracket check builds (P, N, N) stacks
-    for its P sampled pairs only: the two factors, their brackets and what
-    the check compares them with (the coordinate round trip, the brackets
-    of the sigma images). The graded check takes its factors from the
-    sigma eigenvectors that the pairs index, not from all dim_g of them."""
+    Every basis read goes through the basis entry table: the Gram matrix
+    is the table's join with itself on positions (SpaceInstance._gram),
+    and each bracket check builds (P, N, N) stacks for its P sampled pairs
+    only: the two factors, scattered from the table rows of the basis
+    elements that the pairs index (for the graded check, of the
+    coordinates _graded_factors gives), their brackets, and what the check
+    compares them with (the coordinate round trip _gather then _scatter,
+    the brackets of the sigma images). Besides those the space's
+    sigma_coords and sigma_eigh are read, and applied over their nonzero
+    entries (_square, _times_sparse) rather than as dense products."""
     tol = resolve_eps(eps)
     name = str(space.family)
     results = []
 
-    v = space.basis_vecs
-    gram_dev = float(np.max(np.abs(v @ v.T - np.eye(space.dim_g))))
+    gram_dev = float(np.max(np.abs(space._gram() - np.eye(space.dim_g))))
     results.append(
         CheckResult(f"{name}:basis_orthonormal", gram_dev <= tol, f"max dev {gram_dev:.2e}")
     )
 
     s = space.sigma_coords
+    s_entries = _sparse(s)
     invol_dev = float(
-        max(np.max(np.abs(s @ s - np.eye(space.dim_g))), np.max(np.abs(s - s.T)))
+        max(
+            np.max(np.abs(_square(s_entries, space.dim_g) - np.eye(space.dim_g))),
+            np.max(np.abs(s - s.T)),
+        )
     )
     results.append(
         CheckResult(
@@ -139,12 +195,11 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
         CheckResult(f"{name}:canonical_element_tangent", space.contains_tangent(xi, eps))
     )
 
-    basis = space.basis_tensor
     i, j = _pairs(space.dim_g)
-    a, b = basis[i], basis[j]
+    a, b = space._elements(i), space._elements(j)
     br = _brackets(a, b)
     scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
-    back = np.tensordot(mat_to_vec(br) @ v.T, basis, axes=1)
+    back = space._scatter(space._gather(br))
     closure_dev = _max_dev(br - back, scale)
     sa, sb = space._sigma(a), space._sigma(b)
     auto_dev = _max_dev(space._sigma(br) - _brackets(sa, sb), scale)
@@ -157,17 +212,16 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
         )
     )
 
-    # Graded closure: brackets of sigma eigenvectors land in the right
-    # eigenspace ([k,k] and [p,p] in k, [k,p] in p).
+    # Graded closure: brackets of sigma eigenvectors (or of vectors of
+    # their eigenspaces) land in the right eigenspace ([k,k] and [p,p] in
+    # k, [k,p] in p).
     ew, ev = space.sigma_eigh
     signs = np.where(ew > 0.0, 1.0, -1.0)
     i, j = _pairs(space.dim_g, seed=1)
-    br = _brackets(
-        np.tensordot(ev.T[i], basis, axes=1), np.tensordot(ev.T[j], basis, axes=1)
-    )
-    c = mat_to_vec(br) @ v.T
+    br = _brackets(*(space._scatter(f) for f in _graded_factors(ev, signs, i, j)))
+    c = space._gather(br)
     want = (signs[i] * signs[j])[:, None]
-    wrong = (c - want * (c @ s.T)) / 2.0
+    wrong = (c - want * _times_sparse(c, s_entries)) / 2.0
     scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
     graded_dev = float(np.max(np.linalg.norm(wrong, axis=1) / scale))
     results.append(
@@ -335,14 +389,17 @@ def product_pair_checks(lambdas: dict) -> list:
 
 def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     """(results, lambda or None) of the battery for one family. The space
-    is local here, so its basis is freed before the next family's is built;
-    the basis data of the largest space, built on first use by
-    structural_checks, sets the battery's peak memory. Its sigma_eigh is
-    the one dim_g x dim_g eigensolve; ad_spectrum adds a p_dim x k_dim SVD.
+    is local here, so its basis data is freed before the next family's is
+    built. No (dim_g, N, N) array is built: the basis is its entry table,
+    and the largest arrays are dim_g x dim_g ones, sigma_coords, the
+    eigenvectors of sigma_eigh (one small eigh per component of
+    sigma_coords, built on first use by structural_checks), the Gram
+    matrix of structural_checks and ad(xi), with the join pairs that build
+    them; ad_spectrum adds a p_dim x k_dim SVD without singular vectors.
     The other arrays are smaller: the (P, N, N) pair stacks of the bracket
-    checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above), the
-    one list of 25 or 49 N x N closed-form exponentials that the exp scan
-    (its first 25) and the isotropy scan (all) share, and ad(xi)."""
+    checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above) and
+    the one list of 25 or 49 N x N closed-form exponentials that the exp
+    scan (its first 25) and the isotropy scan (all) share."""
     space = build_space(family)
     name = str(family)
     results = structural_checks(space, eps)

@@ -126,10 +126,11 @@ def test_verify_stdout(eps_args, code, key, monkeypatch, capsys):
 
 
 def test_verify_cap6_stdout():
-    # The cap-6 battery multiplies matrices large enough for OpenBLAS to
-    # split them over threads, and the split moves last digits of the
-    # printed residuals. The digest is of the one-thread output, so the CLI
-    # runs in a child process with BLAS pinned to one thread.
+    # A printed residual that comes from a BLAS product large enough for
+    # OpenBLAS to split over threads may move in its last digits (the
+    # structural checks' residuals no longer come from one). The digest is
+    # of the one-thread output, so the CLI runs in a child process with
+    # BLAS pinned to one thread.
     env = {k: v for k, v in os.environ.items() if k != "SPINDLE_EPS"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     src = str(Path(spindles.__file__).resolve().parents[1])

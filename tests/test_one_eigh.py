@@ -5,7 +5,8 @@ scan and exp(pi*xi) from it; the pi/12 slice profile comes from the
 integer frequencies through the slice lattice; normalize_canonical takes its
 frequencies from root data; the verify scans check and rationalize the
 closed form once per space; a verify pass diagonalizes sigma_coords once
-per space, for its graded-closure check and its d x d spectrum alike.
+per space, one small eigh per component of its nonzero pattern, for its
+graded-closure check and its d x d spectrum alike.
 The oracles below are the earlier code, kept verbatim apart from names:
 the per-point slice_dimension profile, the d x d normalize_canonical and
 the single-angle exp_structured.
@@ -265,13 +266,19 @@ class TestOneInvolutionEigensolve:
     def test_family_checks_diagonalize_sigma_once(self, solver_calls, family):
         # The eigensolves of xi are complex N x N; the real ones act on g:
         # the eigh of sigma_coords that the graded-closure check and the
-        # d x d spectrum share, and the SVD of ad(xi) from k to p.
+        # d x d spectrum share, one batched eigh per component size of its
+        # nonzero pattern and no d x d one, and the SVD of ad(xi) from k to p.
         space = build_space(family)
         results, lam = verification._family_checks(family, EPS, None)
         assert all(r.ok for r in results) and lam == closed_form_lambda(family)
         n, d = space.ambient_dim, space.dim_g
         real = [(name, shape) for name, shape, kind in solver_calls if kind == "f"]
-        assert real == [("eigh", (d, d)), ("svd", (space.p_dim, space.k_dim))]
+        eighs = [shape for name, shape in real[:-1]]
+        assert real[-1] == ("svd", (space.p_dim, space.k_dim))
+        assert all(name == "eigh" for name, _ in real[:-1])
+        assert all(len(shape) == 3 and shape[1] == shape[2] < d for shape in eighs)
+        assert len({shape[1] for shape in eighs}) == len(eighs)
+        assert sum(count * size for count, size, _ in eighs) == d
         assert all(shape == (n, n) for _, shape, kind in solver_calls if kind != "f")
 
 

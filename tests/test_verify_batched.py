@@ -4,12 +4,16 @@ against the per-pair loops they replaced.
 The oracles below are the earlier code of structural_checks and
 exp_agreement_check, kept verbatim apart from names: one commutator, one
 coordinate round trip and one sigma application per sampled pair, and
-one exp_generic (one eigendecomposition) per angle. The one exception is
-the graded check, which applies sigma_coords to the stacked coordinates
-of its pairs in one product, as structural_checks does. The batched code
-must print the same CheckResult, digit for digit, on every cap-6 space
-and on every cap-8 space whose pairs are drawn at random, and must fail
-the same checks when the basis or the involution is corrupted.
+one exp_generic (one eigendecomposition) per angle. The graded check
+follows structural_checks in what it reads: its eigenvectors are the
+space's sigma_eigh, its factors are built by from_coords (above the
+exhaustive sweep, as seeded random vectors of the eigenspaces), and
+sigma_coords (also in the square of the involution check) and the
+eigenvectors are applied over their nonzero entries (sparse_times), not
+by a BLAS product. The batched code must print the
+same CheckResult, digit for digit, on every cap-6 space and on every
+cap-8 space whose pairs are drawn at random, and must fail the same
+checks when the basis or the involution is corrupted.
 """
 
 import random
@@ -41,9 +45,23 @@ def oracle_pairs(dim, seed=0):
     if dim <= EXHAUSTIVE_CLOSURE_DIM:
         return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     rng = random.Random(seed)
-    return [
-        (rng.randrange(dim), rng.randrange(dim)) for _ in range(RANDOM_CLOSURE_TRIALS)
-    ]
+    pairs = []
+    for _ in range(RANDOM_CLOSURE_TRIALS):
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        while j == i:
+            j = rng.randrange(dim)
+        pairs.append((i, j))
+    return pairs
+
+
+def sparse_times(m, nonzero, x):
+    """m @ x, summed over the nonzero entries (r, k) = nonzero of m in
+    order, with no BLAS product, as structural_checks applies sigma_coords
+    and its eigenvectors."""
+    r, k = nonzero
+    out = np.zeros(len(m))
+    np.add.at(out, r, m[r, k] * x[k])
+    return out
 
 
 def oracle_structural_checks(space, eps=None):
@@ -58,8 +76,10 @@ def oracle_structural_checks(space, eps=None):
     )
 
     s = space.sigma_coords
+    s_nonzero = np.nonzero(s)
+    square = np.array([sparse_times(s.T, s_nonzero[::-1], row) for row in s])
     invol_dev = float(
-        max(np.max(np.abs(s @ s - np.eye(space.dim_g))), np.max(np.abs(s - s.T)))
+        max(np.max(np.abs(square - np.eye(space.dim_g))), np.max(np.abs(s - s.T)))
     )
     results.append(
         CheckResult(
@@ -103,18 +123,25 @@ def oracle_structural_checks(space, eps=None):
         )
     )
 
-    ew, ev = np.linalg.eigh((s + s.T) / 2.0)
+    ew, ev = space.sigma_eigh
     signs = np.where(ew > 0.0, 1.0, -1.0)
-    mats = np.tensordot(ev.T, space.basis_tensor, axes=1)
     pairs = oracle_pairs(space.dim_g, seed=1)
-    brackets = [commutator(mats[i], mats[j]) for i, j in pairs]
-    # s is applied once to the stacked coordinates, as structural_checks
-    # does: a per-pair s @ c (gemv) and the stacked product (gemm) may
-    # round differently in the last bit.
-    cs = np.array([space.to_coords(b) for b in brackets])
-    images = cs @ s.T
+    if space.dim_g <= EXHAUSTIVE_CLOSURE_DIM:
+        factors = [(ev[:, i], ev[:, j]) for i, j in pairs]
+    else:
+        # Seeded random unit vectors of the eigenspaces of the sampled
+        # eigenvectors, as structural_checks draws them.
+        idx = np.array(pairs).T.ravel()
+        weights = np.random.default_rng(1).standard_normal((len(idx), space.dim_g))
+        weights *= signs == signs[idx, None]
+        weights /= np.linalg.norm(weights, axis=1, keepdims=True)
+        coords = [sparse_times(ev, np.nonzero(ev), w) for w in weights]
+        factors = list(zip(coords[: len(pairs)], coords[len(pairs) :]))
+    brackets = [commutator(space.from_coords(a), space.from_coords(b)) for a, b in factors]
     graded_dev = 0.0
-    for (i, j), b, c, image in zip(pairs, brackets, cs, images):
+    for (i, j), b in zip(pairs, brackets):
+        c = space.to_coords(b)
+        image = sparse_times(s, s_nonzero, c)
         want = signs[i] * signs[j]
         wrong = (c - want * image) / 2.0
         scale = 1.0 + float(np.max(np.abs(b)))
@@ -230,12 +257,14 @@ def test_corrupted_data_fails_the_same_checks(params, mutate, expect):
 
 # tracemalloc peak of structural_checks on AII(6,6) (N = 24, dim g = 575),
 # set by building the basis data: 27.8 MiB while sigma_coords was the dense
-# product of the flattened basis and its sigma image, 19.0 MiB now that it
-# joins the basis entry table with sigma's permutation of positions. The
-# bound leaves 2 MiB (10%) over that. Stacks the size of the whole basis
-# (sigma of every basis element and every graded matrix, 5.3 MiB each)
+# product of the flattened basis and its sigma image, 19.0 MiB once it
+# joined the basis entry table with sigma's permutation of positions, and
+# 11.5 MiB now that no check reads the (dim g, N, N) basis tensor or its
+# flattenings (5.3 MiB each) and sigma_eigh splits sigma_coords by its
+# components. The bound leaves 10% over that. Stacks the size of the whole
+# basis (the tensor, sigma of every basis element, every graded matrix)
 # would raise the peak past it.
-AII66_PEAK_MIB = 21.0
+AII66_PEAK_MIB = 12.6
 
 
 def test_structural_checks_peak_memory():
