@@ -32,7 +32,7 @@ Sp(n) sits inside U(2n) via the standard J_n = [[0,-I_n],[I_n,0]]
 embedding. Every sigma is M op(X) M* for a signed permutation M (I, J or
 a signature) and op the identity or entrywise conjugation, so it is
 applied as conj, block swaps or a sign flip, and no N x N matrix is built.
-That form is checked: sigma_coords reads sigma's signed permutation of the
+That form is checked: sigma_entries reads sigma's signed permutation of the
 entry positions off the images of two probe matrices, and refuses a sigma
 that mixes entries or conjugates some of them only.
 The group families are realized on a single copy of the group's algebra:
@@ -214,13 +214,40 @@ def _join(left: np.ndarray, right: np.ndarray, size: int, order: np.ndarray | No
     return i, order[np.repeat(start[left], partners) + offset]
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """The connected components of the graph with the symmetric (d, d)
-    adjacency pattern, as the least index of each vertex's component: each
-    pass lowers every label to the least label among its neighbours, so the
-    passes stop after the largest component's diameter."""
-    rows, cols = np.nonzero(pattern)
-    label = np.arange(len(pattern))
+def _key_sums(key: np.ndarray, terms: np.ndarray) -> tuple:
+    """(keys, sums): the distinct keys, ascending, each with the sum of its
+    terms taken in the order given from 0.0, as np.add.at sums them into
+    zeros; the keys whose sum is 0.0 are left out."""
+    keys, slot = np.unique(key, return_inverse=True)
+    sums = np.bincount(slot, terms, minlength=len(keys))
+    nonzero = sums != 0.0
+    return keys[nonzero], sums[nonzero]
+
+
+def _times_sparse(x: np.ndarray, m: tuple, width: int) -> np.ndarray:
+    """x @ m.T for a (P, d) array x and the (width, d) array m given by its
+    entries (rows, cols, values): each output entry (p, r) sums x[p, c] * v
+    over the entries of row r in their order, by np.bincount, with no BLAS
+    product, so the digits do not depend on the BLAS thread count. Rows
+    of x are taken in chunks of about 2**15 terms, so no (P, nnz) array is built."""
+    r, k, v = m
+    p = len(x)
+    out = np.empty((p, width))
+    step = max(1, 2**15 // max(len(v), 1))
+    for lo in range(0, p, step):
+        chunk = x[lo : lo + step]
+        key = np.arange(0, len(chunk) * width, width)[:, None] + r
+        sums = np.bincount(key.ravel(), (chunk[:, k] * v).ravel(), minlength=len(chunk) * width)
+        out[lo : lo + step] = sums.reshape(len(chunk), width)
+    return out
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The connected components of the graph on range(n) with the symmetric
+    edge list (rows, cols), as the least index of each vertex's component:
+    each pass lowers every label to the least label among its neighbours,
+    so the passes stop after the largest component's diameter."""
+    label = np.arange(n)
     while True:
         low = label.copy()
         np.minimum.at(low, rows, label[cols])
@@ -229,7 +256,7 @@ def _components(pattern: np.ndarray) -> np.ndarray:
         label = low
 
 
-def _pairs(n: int, start: int, values: np.ndarray, shift: int = 0) -> tuple:
+def _pair_group(n: int, start: int, values: np.ndarray, shift: int = 0) -> tuple:
     """The index group of one element per row (w, w') of values and pair
     j < k of range(n), numbered pair by pair from start: w at (j, k + shift)
     and w' at (k, j + shift)."""
@@ -245,12 +272,12 @@ def _su_basis(m: int) -> tuple:
     diagonal direction i(1, ..., 1, -l, 0, ..., 0) over its norm sqrt(l + l^2)."""
     l, i = (ix[1:] for ix in np.tril_indices(m))
     diagonal = (m * (m - 1) + l - 1, i, i, 1j * np.where(i < l, 1.0, -l) / np.sqrt(l + l * l))
-    return _entries(m, [_pairs(m, 0, _ANTI_HERMITIAN / _RT2), diagonal])
+    return _entries(m, [_pair_group(m, 0, _ANTI_HERMITIAN / _RT2), diagonal])
 
 
 def _so_basis(m: int) -> tuple:
     """Orthonormal basis of so(m): the real anti-Hermitian pair of each j < k over sqrt(2)."""
-    return _entries(m, [_pairs(m, 0, _ANTI_HERMITIAN[:1] / _RT2)])
+    return _entries(m, [_pair_group(m, 0, _ANTI_HERMITIAN[:1] / _RT2)])
 
 
 def _sp_basis(big: int) -> tuple:
@@ -263,9 +290,9 @@ def _sp_basis(big: int) -> tuple:
     d, dd = np.arange(n), np.repeat(np.arange(n), 2)
     top = [
         (d, d, d, np.full(n, 1j) / _RT2),
-        _pairs(n, n, _ANTI_HERMITIAN / 2.0),
+        _pair_group(n, n, _ANTI_HERMITIAN / 2.0),
         (n * n + np.arange(2 * n), dd, dd + n, np.tile([1, 1j], n) / _RT2),
-        _pairs(n, n * n + 2 * n, _SYMMETRIC / 2.0, shift=n),
+        _pair_group(n, n * n + 2 * n, _SYMMETRIC / 2.0, shift=n),
     ]
     e, r, c, v = (np.concatenate(parts) for parts in zip(*top))
     inner = c < n  # an entry of P, else of Q
@@ -643,15 +670,17 @@ class SpaceInstance:
     (element, position r*N + c, value) arrays, element by element, 1 to N
     per element, from the algebra's index tables. Every basis read goes
     through that table: to_coords and from_coords (and _gather and
-    _scatter on stacks) are sums over it, O(nnz); sigma_coords, the
-    involution in those coordinates, and _gram, the Gram matrix, join it
-    with itself on entry positions (_join_coords); ad_matrix of the
-    spindle module joins it on rows and on columns. sigma_eigh is the
-    eigendecomposition of sigma_coords, one small eigh per connected
-    component of its nonzero pattern. basis_tensor, the (dim_g, N, N)
-    array, and basis_vecs, its real flattenings, are scatters of the table
-    that no module of the package reads. dim_g, k_dim, p_dim, the tangency
-    test and spindle_number need none of this."""
+    _scatter on stacks) are sums over it, O(nnz); the involution in those
+    coordinates and the Gram matrix are joins of it with itself on entry
+    positions (_join_terms); ad_matrix of the spindle module joins it on
+    rows and on columns. The involution is cached as sigma_entries, the
+    (rows, cols, values) of its nonzero sums, and sigma_eigh is its
+    eigendecomposition, one small eigh per connected component of its
+    nonzero pattern, with the eigenvectors as entries too. sigma_coords,
+    the dense dim_g x dim_g matrix, basis_tensor, the (dim_g, N, N) array,
+    and basis_vecs, its real flattenings, are scatters that no module of
+    the package reads. dim_g, k_dim, p_dim, the tangency test and
+    spindle_number need none of this."""
 
     family: SpaceFamily
     ambient_dim: int
@@ -709,73 +738,108 @@ class SpaceInstance:
         within a position): the order that every join on positions reads."""
         return np.argsort(self.basis_entries[1], kind="stable")
 
-    def _join_coords(self, source: np.ndarray, sign: np.ndarray, conj: bool) -> np.ndarray:
-        """The dim_g x dim_g matrix of <B_e, T(B_f)> for the map T with
-        T(X).flat[i] = sign[i] op(X.flat[source[i]]), op the entrywise
-        conjugation if conj, else the identity.
+    def _join_terms(self, source: np.ndarray, sign: np.ndarray, conj: bool) -> tuple:
+        """(key, terms) of the dim_g x dim_g matrix of <B_e, T(B_f)> for the
+        map T with T(X).flat[i] = sign[i] op(X.flat[source[i]]), op the
+        entrywise conjugation if conj, else the identity: entry (e, f) is the
+        sum, in order, of the terms at key e*dim_g + f.
 
-        Entry (e, f) is Re sum conj(B_e[i]) sign[i] op(B_f[source[i]]) over
-        the positions i where both are nonzero: a join of basis_entries with
-        itself, each entry of B_e at i against every entry at source[i],
-        summed by one np.add.at. No image of the basis and no dense product
-        is built."""
+        Those terms are Re conj(B_e[i]) sign[i] op(B_f[source[i]]) over the
+        positions i where both are nonzero: a join of basis_entries with
+        itself, each entry of B_e at i against every entry at source[i]. No
+        image of the basis and no dense matrix is built."""
         element, position, value = self.basis_entries
         left, right = _join(source[position], position, len(source), self._position_order)
         image = value[right].conj() if conj else value[right]
         terms = (value[left].conj() * image).real * sign[position[left]]
-        d = self.dim_g
-        out = np.zeros(d * d)
-        np.add.at(out, element[left] * d + element[right], terms)
-        return out.reshape(d, d)
+        return element[left] * self.dim_g + element[right], terms
 
-    def _gram(self) -> np.ndarray:
-        """The Gram matrix <B_e, B_f> of the basis: _join_coords at the identity map."""
+    def _gram_terms(self) -> tuple:
+        """The (key, terms) of the Gram matrix <B_e, B_f>: _join_terms at the identity map."""
         n2 = self.ambient_dim**2
-        return self._join_coords(np.arange(n2), np.ones(n2), False)
+        return self._join_terms(np.arange(n2), np.ones(n2), False)
 
     @cached_property
-    def sigma_coords(self) -> np.ndarray:
-        """The involution in coordinates. The basis is orthonormal for
-        <X,Y> = -Re tr(XY), so this is a symmetric orthogonal matrix, and
-        its trace must give the family's k_dim. It is _join_coords at
-        sigma's signed permutation of entry positions (_sigma_positions)."""
-        coords = self._join_coords(*self._sigma_positions())
-        trace = float(np.trace(coords))
-        k_dim_f = (self.dim_g + trace) / 2.0
+    def sigma_entries(self) -> tuple:
+        """The involution in coordinates as its nonzero entries (rows, cols,
+        values), row by row and by column within a row: the sums of
+        _join_terms at sigma's signed permutation of entry positions
+        (_sigma_positions), each in the order np.add.at took them into a
+        dense matrix. The basis is orthonormal for <X,Y> = -Re tr(XY), so the
+        matrix is symmetric and orthogonal, and its trace must give the
+        family's k_dim. Every reader of sigma on the checking and spectrum
+        paths reads these entries."""
+        d = self.dim_g
+        key, values = _key_sums(*self._join_terms(*self._sigma_positions()))
+        rows, cols = np.divmod(key, d)
+        trace = float(np.sum(values[rows == cols]))
+        k_dim_f = (d + trace) / 2.0
         if abs(k_dim_f - self.k_dim) > 1e-6:
             raise CatalogInconsistencyError(
                 f"{self.family}: involution trace {trace} gives k-dimension {k_dim_f}, "
                 f"not {self.k_dim}"
             )
-        return coords
+        return rows, cols, values
+
+    @cached_property
+    def sigma_coords(self) -> np.ndarray:
+        """The involution in coordinates as a dense dim_g x dim_g matrix,
+        scattered from sigma_entries. No module of the package reads it;
+        it serves callers that want the matrix itself."""
+        rows, cols, values = self.sigma_entries
+        out = np.zeros((self.dim_g, self.dim_g))
+        out[rows, cols] = values
+        return out
 
     @cached_property
     def sigma_eigh(self) -> tuple:
-        """(w, v) as np.linalg.eigh gives them for the symmetrized
-        sigma_coords, unchecked: verify reports a corrupted sigma_coords, and
-        the d x d spectrum route refuses it.
+        """(w, v): the eigenvalues, ascending, of the symmetrized
+        sigma_entries and the eigenvectors as the entries (rows, cols,
+        values) of the matrix whose columns they are, column by column in
+        the order of w; as np.linalg.eigh gives them, unchecked: verify
+        reports a corrupted sigma_entries, and the d x d spectrum route
+        refuses it.
 
-        sigma_coords is a signed permutation but on su's Cartan block, so
-        its nonzero pattern falls into small connected components (at most
-        31 elements up to parameter 8). The matrix is block diagonal over
-        them, read with no threshold, and each component size takes one
-        batched eigh of its blocks; the eigenvalues are sorted ascending."""
-        s = (self.sigma_coords + self.sigma_coords.T) / 2.0
-        label = _components(s != 0.0)
-        size = np.bincount(label, minlength=len(s))[label]
+        The involution is a signed permutation but on su's Cartan block, so
+        the pattern of its symmetrized entries falls into small connected
+        components (at most 31 elements up to parameter 8). The matrix is
+        block diagonal over them, read with no threshold, and each
+        component size takes one batched eigh of its blocks, gathered from
+        the entries; each eigenvector is nonzero in its component only."""
+        rows, cols, values = self.sigma_entries
+        d = self.dim_g
+        key, s = _key_sums(np.r_[rows * d + cols, cols * d + rows], np.r_[values, values])
+        s /= 2.0
+        rows, cols = np.divmod(key, d)
+        label = _components(rows, cols, d)
+        size = np.bincount(label, minlength=d)[label]
         members = np.lexsort((label, size))  # components by size, each in index order
-        w = np.empty(len(s))
-        v = np.zeros_like(s)
+        slot = np.empty(d, dtype=np.intp)
+        slot[members] = np.arange(d)
+        w = np.empty(d)
+        entries = []
         start = 0
         for m in np.unique(size):
             block = members[start : start + np.count_nonzero(size == m)].reshape(-1, m)
+            at = size[rows] == m
+            local = slot[rows[at]] - start
+            blocks = np.zeros(block.shape + (m,))
+            blocks[local // m, local % m, (slot[cols[at]] - start) % m] = s[at]
+            w_m, v_m = np.linalg.eigh(blocks)
             columns = np.arange(start, start + block.size).reshape(-1, m)
-            w[columns], v[block[:, :, None], columns[:, None, :]] = np.linalg.eigh(
-                s[block[:, :, None], block[:, None, :]]
+            w[columns] = w_m
+            entries.append(
+                [a.ravel() for a in np.broadcast_arrays(block[:, :, None], columns[:, None, :], v_m)]
             )
             start += block.size
         ascending = np.argsort(w, kind="stable")
-        return w[ascending], v[:, ascending]
+        rank = np.empty(d, dtype=np.intp)
+        rank[ascending] = np.arange(d)
+        v_rows, v_cols, v_values = map(np.concatenate, zip(*entries))
+        nonzero = v_values != 0.0
+        v_rows, v_cols, v_values = v_rows[nonzero], rank[v_cols[nonzero]], v_values[nonzero]
+        order = np.lexsort((v_rows, v_cols))
+        return w[ascending], (v_rows[order], v_cols[order], v_values[order])
 
     def _matrix(self, x) -> np.ndarray:
         """x as a square matrix of the ambient size."""

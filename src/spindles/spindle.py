@@ -25,10 +25,11 @@ is_extrinsically_symmetric_type work on the matrix of ad(xi) on g
 instead; they are the independent second route. ad_matrix joins the
 space's basis entry table with itself on rows and on columns, so it
 builds no (dim g, N, N) array. ad_spectrum and cartan_split take bases
-of k and p from the space's sigma_eigh, which verify's graded-closure
-check shares; one SVD of ad(xi) from k to p gives the frequencies, and
-its singular vectors, which only cartan_split computes, the pieces k_nu
-and p_nu.
+of k and p from the eigenvector entries of the space's sigma_eigh, which
+verify's graded-closure check shares; one SVD of ad(xi) from k to p
+gives the frequencies, and its singular vectors, which only cartan_split
+computes, the pieces k_nu and p_nu. On ad_spectrum's path ad(xi) is the
+only dim g x dim g array.
 
 A slice at a rational time is integer arithmetic: _lattice_row is the one
 rule that profile's rows (SpindleReport.profile_rows) and the report's
@@ -82,9 +83,14 @@ from .spaces import (
     SpaceInstance,
     _join,
     _shared_json,
+    _times_sparse,
     canonical_element,
     stated_membership,
 )
+
+# ad_matrix joins this many basis entries at a time with the whole table,
+# so its join temporaries stay a few hundred KiB.
+AD_JOIN_CHUNK = 128
 
 # Frequencies are singular values or root-rule images of eigenvalues, with
 # no square root between. At the 203 cap-8 canonical elements the SVD's zero
@@ -169,8 +175,10 @@ def ad_matrix(space: SpaceInstance, xi, eps: float | None = None) -> np.ndarray:
     the first pairs each entry of B_e with the entries of B_f in its column,
     at the factor xi[r, r']; (B_f xi)[r, c] sums B_f[r, c'] xi[c', c], so
     the second pairs it with those in its row, at xi^T[c, c']. Each join is
-    summed into entry e*dim_g + f by one np.add.at or np.subtract.at; no
-    (dim g, N, N) bracket stack is built."""
+    summed into entry e*dim_g + f by np.add.at or np.subtract.at, taken
+    AD_JOIN_CHUNK entries of B_e at a time in table order, so every sum
+    keeps its terms and their order while the join's temporaries stay
+    small; no (dim g, N, N) bracket stack is built."""
     m = ensure_square(xi)
     _require_tangent(space, m, eps)
     element, position, value = space.basis_entries
@@ -178,9 +186,14 @@ def ad_matrix(space: SpaceInstance, xi, eps: float | None = None) -> np.ndarray:
     row, col = np.divmod(position, n)
     out = np.zeros(d * d)
     for shared, other, factor, add in ((col, row, m, np.add), (row, col, m.T, np.subtract)):
-        a, b = _join(shared, shared, n)
-        terms = (value[a].conj() * factor[other[a], other[b]] * value[b]).real
-        add.at(out, element[a] * d + element[b], terms)
+        order = np.argsort(shared, kind="stable")
+        for lo in range(0, len(shared), AD_JOIN_CHUNK):
+            a, b = _join(shared[lo : lo + AD_JOIN_CHUNK], shared, n, order)
+            a += lo
+            terms = value[a].conj()
+            terms *= factor[other[a], other[b]]
+            terms *= value[b]
+            add.at(out, element[a] * d + element[b], terms.real)
     return out.reshape(d, d)
 
 
@@ -221,28 +234,51 @@ def _frequency_clusters(space: SpaceInstance, nu: np.ndarray) -> tuple:
     return frequencies, column_groups
 
 
+def _eigenvector_rows(ev: tuple, keep: np.ndarray) -> tuple:
+    """The eigenvectors where keep holds, of the sigma_eigh entries ev
+    (rows, cols, values) of the matrix whose columns they are, as the
+    entries of the matrix whose rows they are, numbered in order."""
+    rows, cols, values = ev
+    at = keep[cols]
+    return (np.cumsum(keep) - 1)[cols[at]], rows[at], values[at]
+
+
+def _dense_columns(entries: tuple, d: int, m: int) -> np.ndarray:
+    """The (d, m) matrix whose columns are the rows of the (m, d) matrix
+    with the entries (rows, cols, values)."""
+    rows, cols, values = entries
+    out = np.zeros((d, m))
+    out[cols, rows] = values
+    return out
+
+
 def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray, vectors: bool = False) -> tuple:
     """(spectrum, blocks): the AdSpectrum of ad(xi) from its matrix and, if
     vectors, per frequency cluster as _frequency_clusters groups them, the
     block (uk, up) of orthonormal coordinate columns spanning its k part
     and its p part (else blocks is None).
 
-    The eigenvectors uk of sigma_coords (space.sigma_eigh) with eigenvalue
-    +1 span k, those up with -1 span p. For xi in p, ad(xi) maps k_nu onto
-    p_nu and back, so the block up^T ad(xi) uk has the frequencies as
-    singular values, and its right and left singular vectors span the k_nu
-    and the p_nu. The zero cluster takes the rest: mult_k(0) = k_dim - rank
-    and mult_p(0) = p_dim - rank. An eigenvalue of sigma_coords farther
-    than 1/2 from +-1 is refused: sigma_coords is no orthogonal involution."""
+    The eigenvectors uk of the involution (space.sigma_eigh) with
+    eigenvalue +1 span k, those up with -1 span p. For xi in p, ad(xi) maps
+    k_nu onto p_nu and back, so the block up^T ad(xi) uk has the
+    frequencies as singular values, and its right and left singular
+    vectors span the k_nu and the p_nu. The block is two products over the
+    eigenvector entries (_times_sparse): ad(xi) uk, d x k, then up^T times
+    that, p x k; only cartan_split, which needs the vectors, scatters uk
+    and up into dense columns. The zero cluster takes the rest:
+    mult_k(0) = k_dim - rank and mult_p(0) = p_dim - rank. An eigenvalue
+    of the involution farther than 1/2 from +-1 is refused: it is no
+    orthogonal involution."""
     ew, ev = space.sigma_eigh
     off = np.abs(np.abs(ew) - 1.0)
     if np.any(off > 0.5):
         raise SpectrumBucketingError(
-            f"{space.family}: sigma_coords has the eigenvalue {ew[np.argmax(off)]}, "
+            f"{space.family}: the involution has the eigenvalue {ew[np.argmax(off)]}, "
             "farther than 1/2 from +-1; it is not an orthogonal involution"
         )
-    uk, up = ev[:, ew > 0], ev[:, ew < 0]
-    block = up.T @ admat @ uk
+    uk, up = _eigenvector_rows(ev, ew > 0), _eigenvector_rows(ev, ew < 0)
+    n_k, n_p = int(np.count_nonzero(ew > 0)), int(np.count_nonzero(ew < 0))
+    block = _times_sparse(_times_sparse(admat, uk, n_k).T, up, n_p).T
     if vectors:
         y, sv, zt = np.linalg.svd(block)
     else:
@@ -252,9 +288,7 @@ def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray, vectors: bool = F
     frequencies, column_groups = _frequency_clusters(space, sv[::-1])
     rank = n - len(column_groups[0])
     sizes = [len(cols) for cols in column_groups[1:]]
-    spec = AdSpectrum(
-        tuple(frequencies), (uk.shape[1] - rank, *sizes), (up.shape[1] - rank, *sizes)
-    )
+    spec = AdSpectrum(tuple(frequencies), (n_k - rank, *sizes), (n_p - rank, *sizes))
     if spec.dim_k != space.k_dim or spec.dim_p != space.p_dim:
         raise SpectrumBucketingError(
             f"{space.family}: multiplicities sum to ({spec.dim_k}, {spec.dim_p}), "
@@ -262,6 +296,7 @@ def _spectrum_from_ad(space: SpaceInstance, admat: np.ndarray, vectors: bool = F
         )
     if not vectors:
         return spec, None
+    uk, up = _dense_columns(uk, space.dim_g, n_k), _dense_columns(up, space.dim_g, n_p)
     blocks = [(uk @ zt[rank:].T, up @ y[:, rank:])]
     blocks += [(uk @ zt[n - 1 - cols].T, up @ y[:, n - 1 - cols]) for cols in column_groups[1:]]
     return spec, blocks

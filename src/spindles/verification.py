@@ -40,6 +40,8 @@ from .linalg import (
 from .spaces import (
     SpaceInstance,
     _join,
+    _key_sums,
+    _times_sparse,
     build_space,
     canonical_element,
     isotropy_contains,
@@ -90,53 +92,55 @@ def _pairs(dim: int, seed: int = 0) -> tuple:
     return tuple(np.array(pairs).T)
 
 
-def _sparse(m: np.ndarray) -> tuple:
-    """The nonzero entries of a square array as (rows, cols, values)."""
-    r, k = np.nonzero(m)
-    return r, k, m[r, k]
+def _identity_dev(key: np.ndarray, terms: np.ndarray, d: int) -> float:
+    """max |m - I| for the (d, d) matrix m whose entry (e, f) is the sum of
+    the terms at key e*d + f, in order: the identity's -1 is the last term
+    of each diagonal key, so each entry of m - I is the float that a dense
+    m minus np.eye(d) gives, and no (d, d) array is built."""
+    diagonal = np.arange(d) * (d + 1)
+    _, sums = _key_sums(np.r_[key, diagonal], np.r_[terms, np.full(d, -1.0)])
+    return float(np.max(np.abs(sums), initial=0.0))
 
 
-def _times_sparse(x: np.ndarray, m: tuple) -> np.ndarray:
-    """x @ m.T for a (P, d) array x and the _sparse entries m of a (d, d)
-    array with few of them (sigma_coords, the eigenvectors of sigma_eigh),
-    summed over those entries in order by np.bincount: no BLAS product, so
-    the digits do not depend on the BLAS thread count."""
-    r, k, v = m
-    p, d = x.shape
-    key = np.arange(0, p * d, d)[:, None] + r
-    return np.bincount(key.ravel(), (x[:, k] * v).ravel(), minlength=p * d).reshape(p, d)
-
-
-def _square(m: tuple, d: int) -> np.ndarray:
-    """m @ m for the _sparse entries m of a (d, d) array: each entry (a, b)
-    joined with the entries (b, c) of row b, summed into (a, c) by np.add.at."""
-    r, k, v = m
+def _involution_dev(s: tuple, d: int) -> float:
+    """max(|s s - I|, |s - s^T|) for the sigma_entries s of a (d, d)
+    matrix. s s joins each entry (a, b) with the entries (b, c) of row b,
+    keyed a*d + c; s - s^T sums each entry at its key and its negative at
+    the transposed key."""
+    r, k, v = s
     left, right = _join(k, r, d)
-    out = np.zeros(d * d)
-    np.add.at(out, r[left] * d + k[right], v[left] * v[right])
-    return out.reshape(d, d)
+    square = _identity_dev(r[left] * d + k[right], v[left] * v[right], d)
+    _, asym = _key_sums(np.r_[r * d + k, k * d + r], np.r_[v, -v])
+    return float(max(square, np.max(np.abs(asym), initial=0.0)))
 
 
-def _graded_factors(ev: np.ndarray, signs: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple:
+def _graded_factors(ev: tuple, signs: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple:
     """The graded check's factors of the pairs (i, j) of sigma eigenvector
     indices, as two coordinate arrays: the eigenvectors themselves while
     every pair is checked, above EXHAUSTIVE_CLOSURE_DIM seeded random unit
-    vectors, each of the whole eigenspace of its eigenvector. sigma_eigh's
-    eigenvectors each lie in one component of sigma_coords, a few basis
-    elements, so a sample of them would miss a fault in the elements
-    outside it; a random vector of an eigenspace touches all of them."""
-    if len(signs) <= EXHAUSTIVE_CLOSURE_DIM:
-        return ev.T[i], ev.T[j]
+    vectors, each of the whole eigenspace of its eigenvector. ev holds
+    sigma_eigh's eigenvectors as entries; each lies in one component of
+    the involution, a few basis elements, so a sample of them would miss
+    a fault in the elements outside it; a random vector of an eigenspace
+    touches all of them."""
+    rows, cols, values = ev
+    d = len(signs)
+    if d <= EXHAUSTIVE_CLOSURE_DIM:
+        vectors = np.zeros((d, d))
+        vectors[cols, rows] = values
+        return vectors[i], vectors[j]
     idx = np.concatenate((i, j))
-    weights = np.random.default_rng(1).standard_normal((len(idx), len(signs)))
+    weights = np.random.default_rng(1).standard_normal((len(idx), d))
     weights *= signs == signs[idx, None]
     weights /= np.linalg.norm(weights, axis=1, keepdims=True)
-    return tuple(_times_sparse(weights, _sparse(ev)).reshape(2, len(i), -1))
+    return tuple(_times_sparse(weights, ev, d).reshape(2, len(i), -1))
 
 
 def _brackets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutators of two (P, N, N) stacks, pair by pair."""
-    return a @ b - b @ a
+    out = a @ b
+    out -= b @ a
+    return out
 
 
 def _max_dev(residual: np.ndarray, scale: np.ndarray) -> float:
@@ -144,36 +148,76 @@ def _max_dev(residual: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max(np.max(np.abs(residual), axis=(1, 2)) / scale))
 
 
+def _bracket_checks(space: SpaceInstance, name: str, tol: float) -> list:
+    """bracket_closure and involution_automorphism on the sampled pairs of
+    basis elements: the (P, N, N) stacks of the factors, their brackets and
+    the coordinate round trip of those, then the sigma images. Each stack
+    is dropped once the residual that reads it is taken."""
+    i, j = _pairs(space.dim_g)
+    a, b = space._elements(i), space._elements(j)
+    br = _brackets(a, b)
+    scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
+    closure_dev = _max_dev(br - space._scatter(space._gather(br)), scale)
+    image = space._sigma(br)
+    del br
+    sa, sb = space._sigma(a), space._sigma(b)
+    del a, b
+    image -= _brackets(sa, sb)
+    auto_dev = _max_dev(image, scale)
+    return [
+        CheckResult(f"{name}:bracket_closure", closure_dev <= tol, f"max dev {closure_dev:.2e}"),
+        CheckResult(
+            f"{name}:involution_automorphism", auto_dev <= tol, f"max dev {auto_dev:.2e}"
+        ),
+    ]
+
+
+def _graded_check(space: SpaceInstance, name: str, tol: float) -> CheckResult:
+    """Graded closure: brackets of sigma eigenvectors (or of vectors of
+    their eigenspaces) land in the right eigenspace ([k,k] and [p,p] in k,
+    [k,p] in p). The brackets' coordinates c should satisfy s c = +-c; the
+    check reads the norm of the part of c in the wrong eigenspace."""
+    ew, ev = space.sigma_eigh
+    signs = np.where(ew > 0.0, 1.0, -1.0)
+    i, j = _pairs(space.dim_g, seed=1)
+    br = _brackets(*(space._scatter(f) for f in _graded_factors(ev, signs, i, j)))
+    c = space._gather(br)
+    scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
+    want = (signs[i] * signs[j])[:, None]
+    wrong = (c - want * _times_sparse(c, space.sigma_entries, space.dim_g)) / 2.0
+    graded_dev = float(np.max(np.linalg.norm(wrong, axis=1) / scale))
+    return CheckResult(
+        f"{name}:graded_bracket_closure", graded_dev <= tol, f"max dev {graded_dev:.2e}"
+    )
+
+
 def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
     """Basis/involution/bracket invariants for one space.
 
-    Every basis read goes through the basis entry table: the Gram matrix
-    is the table's join with itself on positions (SpaceInstance._gram),
-    and each bracket check builds (P, N, N) stacks for its P sampled pairs
-    only: the two factors, scattered from the table rows of the basis
-    elements that the pairs index (for the graded check, of the
-    coordinates _graded_factors gives), their brackets, and what the check
-    compares them with (the coordinate round trip _gather then _scatter,
-    the brackets of the sigma images). Besides those the space's
-    sigma_coords and sigma_eigh are read, and applied over their nonzero
-    entries (_square, _times_sparse) rather than as dense products."""
+    Every basis read goes through the basis entry table, and no dim_g x
+    dim_g array is built: the Gram matrix less the identity is summed over
+    the keys of the table's join with itself on positions
+    (SpaceInstance._gram_terms), and the involution's square less the
+    identity and its asymmetry over the keys of joins of sigma_entries
+    (_involution_dev). Each bracket check (_bracket_checks, _graded_check)
+    builds (P, N, N) stacks for its P sampled pairs only: the two
+    factors, scattered from the table rows of the basis elements that the
+    pairs index (for the graded check, of the coordinates _graded_factors
+    gives from sigma_eigh's eigenvector entries), their brackets, and what
+    the check compares them with (the coordinate round trip _gather then
+    _scatter, the brackets of the sigma images); sigma_entries is applied
+    to the graded brackets' coordinates by _times_sparse, over its entries."""
     tol = resolve_eps(eps)
     name = str(space.family)
+    d = space.dim_g
     results = []
 
-    gram_dev = float(np.max(np.abs(space._gram() - np.eye(space.dim_g))))
+    gram_dev = _identity_dev(*space._gram_terms(), d)
     results.append(
         CheckResult(f"{name}:basis_orthonormal", gram_dev <= tol, f"max dev {gram_dev:.2e}")
     )
 
-    s = space.sigma_coords
-    s_entries = _sparse(s)
-    invol_dev = float(
-        max(
-            np.max(np.abs(_square(s_entries, space.dim_g) - np.eye(space.dim_g))),
-            np.max(np.abs(s - s.T)),
-        )
-    )
+    invol_dev = _involution_dev(space.sigma_entries, d)
     results.append(
         CheckResult(
             f"{name}:involution_orthogonal_involutive",
@@ -194,41 +238,8 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
     results.append(
         CheckResult(f"{name}:canonical_element_tangent", space.contains_tangent(xi, eps))
     )
-
-    i, j = _pairs(space.dim_g)
-    a, b = space._elements(i), space._elements(j)
-    br = _brackets(a, b)
-    scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
-    back = space._scatter(space._gather(br))
-    closure_dev = _max_dev(br - back, scale)
-    sa, sb = space._sigma(a), space._sigma(b)
-    auto_dev = _max_dev(space._sigma(br) - _brackets(sa, sb), scale)
-    results.append(
-        CheckResult(f"{name}:bracket_closure", closure_dev <= tol, f"max dev {closure_dev:.2e}")
-    )
-    results.append(
-        CheckResult(
-            f"{name}:involution_automorphism", auto_dev <= tol, f"max dev {auto_dev:.2e}"
-        )
-    )
-
-    # Graded closure: brackets of sigma eigenvectors (or of vectors of
-    # their eigenspaces) land in the right eigenspace ([k,k] and [p,p] in
-    # k, [k,p] in p).
-    ew, ev = space.sigma_eigh
-    signs = np.where(ew > 0.0, 1.0, -1.0)
-    i, j = _pairs(space.dim_g, seed=1)
-    br = _brackets(*(space._scatter(f) for f in _graded_factors(ev, signs, i, j)))
-    c = space._gather(br)
-    want = (signs[i] * signs[j])[:, None]
-    wrong = (c - want * _times_sparse(c, s_entries)) / 2.0
-    scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
-    graded_dev = float(np.max(np.linalg.norm(wrong, axis=1) / scale))
-    results.append(
-        CheckResult(
-            f"{name}:graded_bracket_closure", graded_dev <= tol, f"max dev {graded_dev:.2e}"
-        )
-    )
+    results.extend(_bracket_checks(space, name, tol))
+    results.append(_graded_check(space, name, tol))
     return results
 
 
@@ -391,15 +402,19 @@ def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     """(results, lambda or None) of the battery for one family. The space
     is local here, so its basis data is freed before the next family's is
     built. No (dim_g, N, N) array is built: the basis is its entry table,
-    and the largest arrays are dim_g x dim_g ones, sigma_coords, the
-    eigenvectors of sigma_eigh (one small eigh per component of
-    sigma_coords, built on first use by structural_checks), the Gram
-    matrix of structural_checks and ad(xi), with the join pairs that build
-    them; ad_spectrum adds a p_dim x k_dim SVD without singular vectors.
-    The other arrays are smaller: the (P, N, N) pair stacks of the bracket
-    checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above) and
-    the one list of 25 or 49 N x N closed-form exponentials that the exp
-    scan (its first 25) and the isotropy scan (all) share."""
+    the involution its entry list sigma_entries (sigma_coords, the dense
+    matrix, is never built), and the eigenvectors of sigma_eigh (one small
+    eigh per component of the involution) are entries too. The one
+    dim_g x dim_g array is ad(xi) (2.5 MiB at AII(6,6), 8 MiB at
+    AII(8,8)), which ad_spectrum reduces to the p_dim x k_dim block of its
+    SVD, without singular vectors, through a dim_g x k_dim product. The
+    other arrays are smaller: the join pairs and key sums of the Gram
+    matrix and the involution, the (P, N, N) pair stacks of the bracket
+    checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above; each
+    dropped once its residual is taken) and the one list of 25 or 49 N x N
+    closed-form exponentials that the exp scan (its first 25) and the
+    isotropy scan (all) share. Under tracemalloc the largest cap-6 peak is
+    5.8 MiB (AII(6,6))."""
     space = build_space(family)
     name = str(family)
     results = structural_checks(space, eps)

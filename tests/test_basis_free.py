@@ -2,10 +2,10 @@
 
 dim g and dim k come from formulas, tangency from each algebra's N x N
 orthogonal projector, and basis_tensor, basis_entries, basis_vecs,
-sigma_coords and sigma_eigh are built on first use, each once. The tests
-here hold the formulas to the d x d data, the projector to the basis
-route it replaced, and spindle_number and `analyze` to running with no
-basis at all.
+sigma_entries, sigma_coords and sigma_eigh are built on first use, each
+once. The tests here hold the formulas to the d x d data, the projector
+to the basis route it replaced, and spindle_number and `analyze` to
+running with no basis at all.
 """
 
 from dataclasses import replace
@@ -31,7 +31,9 @@ from test_golden import LARGE_FAMILIES
 from test_spectrum import CAP6, k_element, p_element, small_family
 
 EPS = 1e-9
-BASIS_KEYS = {"basis_tensor", "basis_entries", "basis_vecs", "sigma_coords", "sigma_eigh"}
+BASIS_KEYS = {
+    "basis_tensor", "basis_entries", "basis_vecs", "sigma_entries", "sigma_coords", "sigma_eigh"
+}
 
 
 def basis_residual(space, m) -> float:

@@ -2,17 +2,18 @@
 basis entry table.
 
 ad_matrix is two joins of the table with itself (entries that share a
-column, entries that share a row), sigma_eigh splits sigma_coords by the
-connected components of its nonzero pattern, cartan_split scatters its
-coefficient columns over the table, and structural_checks reads the
-Gram matrix, its bracket factors and its round trips off the table. The
-oracles below are the dense routes they replaced: the bracket product
-with the flattened basis tensor, np.linalg.eigh of the whole symmetrized
-sigma_coords and tensordot with the tensor. No module of the package
-reads the tensor or its flattenings, and the memory of the d x d steps
-is pinned. The seeded bracket samples draw no self-pair, and above the
-exhaustive sweep the graded check catches a sign fault in any one row of
-sigma_coords.
+column, entries that share a row), sigma_eigh splits sigma_entries by the
+connected components of its nonzero pattern and returns its
+eigenvectors as entries, cartan_split scatters its coefficient columns
+over the table, and structural_checks reads the Gram matrix, its bracket
+factors and its round trips off the table. The oracles below are the
+dense routes they replaced: the bracket product with the flattened basis
+tensor, np.linalg.eigh of the whole symmetrized sigma_coords and
+tensordot with the tensor. No module of the package reads the tensor or
+its flattenings, and the memory of the d x d steps is pinned. The seeded
+bracket samples draw no self-pair, and above the exhaustive sweep the
+graded check catches a sign fault in any one row of the involution's
+entries.
 """
 
 import ast
@@ -56,6 +57,15 @@ def conjugate(space, seed=1):
     return k @ canonical_element(space.family) @ k.conj().T
 
 
+def dense_eigh(space):
+    """sigma_eigh with its eigenvector entries scattered into the dense
+    (d, d) matrix whose columns they are."""
+    w, (rows, cols, values) = space.sigma_eigh
+    v = np.zeros((space.dim_g, space.dim_g))
+    v[rows, cols] = values
+    return w, v
+
+
 def dense_ad(space, xi):
     """The oracle: <B_e, [xi, B_f]> as the product of the flattened basis
     with the flattened brackets of the basis tensor, 256 columns at a time."""
@@ -84,7 +94,7 @@ def test_sigma_split_matches_dense_eigh(family):
     space = build_space(family)
     s = space.sigma_coords
     w0, v0 = np.linalg.eigh((s + s.T) / 2.0)
-    w, v = space.sigma_eigh
+    w, v = dense_eigh(space)
     assert np.all(np.diff(w) >= 0.0)
     assert float(np.max(np.abs(w - w0))) <= 1e-12
     for sign in (1.0, -1.0):
@@ -97,14 +107,17 @@ def test_sigma_split_matches_dense_eigh(family):
 def test_sigma_components_are_small():
     """The connected components of the nonzero pattern of sigma_coords up
     to parameter 8 have at most 31 elements (the Cartan block of su(32) in
-    AII(8,8)), and each eigenvector of sigma_eigh lies in one of them."""
+    AII(8,8)), and each eigenvector of sigma_eigh lies in one of them: its
+    entries come column by column, each column's rows in order."""
     largest = {}
     for family in CAP8:
         space = build_space(family)
         s = space.sigma_coords
-        label = _components(s + s.T != 0.0)
+        label = _components(*np.nonzero(s + s.T), space.dim_g)
         largest[family.tag] = max(largest.get(family.tag, 0), int(np.bincount(label).max()))
-        col, row = np.nonzero(space.sigma_eigh[1].T)
+        row, col, _ = space.sigma_eigh[1]
+        assert np.array_equal(np.lexsort((row, col)), np.arange(len(col)))
+        assert np.array_equal(np.unique(col), np.arange(space.dim_g))
         assert np.array_equal(label[row], label[row[np.searchsorted(col, col)]])
     assert largest == {
         "AI": 13, "AII": 31, "AIII": 13, "BDI_rank1": 1, "BDI_split": 1, "DIII": 2,
@@ -182,6 +195,8 @@ def test_dense_read_guard_finds_a_read():
 
 
 def test_family_checks_build_no_dense_basis(monkeypatch):
+    """The battery reads the basis and the involution as entries: neither
+    the dense basis nor the dense sigma_coords is built."""
     spaces = []
     real = verification.build_space
 
@@ -194,8 +209,8 @@ def test_family_checks_build_no_dense_basis(monkeypatch):
     results, lam = verification._family_checks(family, EPS, None)
     assert all(r.ok for r in results) and lam == 2
     (space,) = spaces
-    assert {"basis_entries", "sigma_coords", "sigma_eigh"} <= set(vars(space))
-    assert not DENSE_KEYS & set(vars(space))
+    assert {"basis_entries", "sigma_entries", "sigma_eigh"} <= set(vars(space))
+    assert not (DENSE_KEYS | {"sigma_coords"}) & set(vars(space))
 
 
 def test_cartan_split_builds_no_dense_basis():
@@ -206,11 +221,15 @@ def test_cartan_split_builds_no_dense_basis():
 
 
 # tracemalloc peak of ad_spectrum on a fresh AII(6,6) (N = 24, dim g = 575),
-# which builds the entry table, sigma_coords and sigma_eigh first: 12.7 MiB
-# with ad(xi) joined from the table and sigma split by components, 24.3 MiB
-# when ad(xi) was the product of the flattened basis with three (dim g, N,
-# N) bracket stacks and sigma_eigh one dense eigh. The bound leaves 10%.
-AII66_AD_PEAK_MIB = 14.0
+# which builds the entry table, sigma_entries and sigma_eigh first: 5.5 MiB
+# with ad(xi) (2.5 MiB) the one dim g x dim g array, joined from the table
+# AD_JOIN_CHUNK entries at a time, and the p x k block summed over the
+# eigenvector entries; 12.7 MiB while ad(xi) was one join of the whole
+# table, sigma_coords dense and the eigenvectors a dense d x d matrix;
+# 24.3 MiB when ad(xi) was the product of the flattened basis with three
+# (dim g, N, N) bracket stacks and sigma_eigh one dense eigh. The bound
+# leaves 10%.
+AII66_AD_PEAK_MIB = 6.1
 
 
 def test_ad_spectrum_peak_memory():
@@ -259,16 +278,15 @@ def test_sampled_pairs_draw_no_self_pair():
 def test_graded_check_catches_any_row_sign_fault(params):
     """Above the exhaustive sweep each factor of the graded check is a
     random vector of a whole eigenspace, so a sign flipped in any one row
-    of sigma_coords fails it. (The sampled eigenvectors themselves, which
-    each lie in a few basis elements, let 57 of the 80 single-row faults of
-    AI(4,5) pass, and those of one dense eigh 54.)"""
+    of the involution's entries fails it. (The sampled eigenvectors
+    themselves, which each lie in a few basis elements, let 57 of the 80
+    single-row faults of AI(4,5) pass, and those of one dense eigh 54.)"""
     family = SpaceFamily.make(*params)
-    clean = build_space(family).sigma_coords
-    assert len(clean) > EXHAUSTIVE_CLOSURE_DIM
-    for row in range(len(clean)):
+    clean = build_space(family)
+    rows, cols, values = clean.sigma_entries
+    assert clean.dim_g > EXHAUSTIVE_CLOSURE_DIM
+    for row in range(clean.dim_g):
         space = build_space(family)
-        s = clean.copy()
-        s[row] *= -1.0
-        vars(space)["sigma_coords"] = s
+        vars(space)["sigma_entries"] = (rows, cols, np.where(rows == row, -values, values))
         failed = {c.name.split(":", 1)[1] for c in structural_checks(space, EPS) if not c.ok}
         assert "graded_bracket_closure" in failed, row

@@ -1,7 +1,7 @@
 """The d x d spectrum route: one SVD of the p x k block of ad(xi).
 
-_spectrum_from_ad takes bases of k and p from the eigenvectors of
-sigma_coords (space.sigma_eigh) and reads the frequencies and the pieces
+_spectrum_from_ad takes bases of k and p from the eigenvector entries of
+the involution (space.sigma_eigh) and reads the frequencies and the pieces
 k_nu, p_nu off the singular values and vectors of ad(xi) from k to p.
 Two oracles check it. The two-step one: eigh of -ad(xi)^2 alone, then per
 frequency cluster the involution restricted to the cluster,
@@ -27,6 +27,7 @@ from spindles.spindle import (
     ad_spectrum,
     cartan_split,
 )
+from test_entry_joins import dense_eigh
 
 CAP8 = list(sweep_families(8))
 SCALES = (1.0, 0.37, 2.5)
@@ -133,7 +134,7 @@ def test_svd_margins(case):
     1.33e-7); the farthest positive singular value lies 8.9e-16 from its
     integer, against BUCKET_TOL = 1e-6."""
     space, _, admat = case
-    ew, ev = space.sigma_eigh
+    ew, ev = dense_eigh(space)
     assert np.max(np.abs(np.abs(ew) - 1.0)) <= 1e-13
     sv = np.linalg.svd(ev[:, ew < 0].T @ admat @ ev[:, ew > 0], compute_uv=False)
     zero = sv <= ZERO_FREQ_TOL
@@ -176,7 +177,8 @@ def test_refuses_involution_off_the_spectrum():
     refused: the projector onto k plus a symmetric coupling of a k vector
     and a p vector of different frequencies, both orthogonal to xi. It
     annihilates the coordinates of xi, so it has the eigenvalue 0, a full
-    1 away from +-1."""
+    1 away from +-1. It replaces the space's sigma_entries, which
+    sigma_eigh reads."""
     family = next(f for f in CAP8 if str(f) == "AI(2,3)")
     space = build_space(family)
     xi = canonical_element(family)
@@ -188,7 +190,8 @@ def test_refuses_involution_off_the_spectrum():
     bad = (np.eye(space.dim_g) + s) / 2.0 + 0.3 * (np.outer(k_vec, p_vec) + np.outer(p_vec, k_vec))
     sq = -(admat @ admat)
     assert np.linalg.norm(bad @ sq - sq @ bad) > 0.1
-    vars(space)["sigma_coords"] = bad
+    rows, cols = np.nonzero(bad)
+    vars(space)["sigma_entries"] = (rows, cols, bad[rows, cols])
     with pytest.raises(SpectrumBucketingError, match="farther than 1/2 from"):
         _spectrum_from_ad(space, admat)
 

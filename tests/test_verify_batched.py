@@ -13,7 +13,9 @@ eigenvectors are applied over their nonzero entries (sparse_times), not
 by a BLAS product. The batched code must print the
 same CheckResult, digit for digit, on every cap-6 space and on every
 cap-8 space whose pairs are drawn at random, and must fail the same
-checks when the basis or the involution is corrupted.
+checks when the basis or the involution is corrupted. The involution is
+corrupted in sigma_entries, the form every reader of it is derived from,
+so the oracle's dense sigma_coords and the eigenvectors carry the fault too.
 """
 
 import random
@@ -34,10 +36,12 @@ from spindles.verification import (
     EXHAUSTIVE_CLOSURE_DIM,
     RANDOM_CLOSURE_TRIALS,
     CheckResult,
+    _family_checks,
     exp_agreement_check,
     rational_angle_bulk_check,
     structural_checks,
 )
+from test_entry_joins import dense_eigh
 from test_linalg import commutator
 
 
@@ -123,7 +127,7 @@ def oracle_structural_checks(space, eps=None):
         )
     )
 
-    ew, ev = space.sigma_eigh
+    ew, ev = dense_eigh(space)
     signs = np.where(ew > 0.0, 1.0, -1.0)
     pairs = oracle_pairs(space.dim_g, seed=1)
     if space.dim_g <= EXHAUSTIVE_CLOSURE_DIM:
@@ -212,12 +216,31 @@ def failed(checks):
     return {c.name.split(":", 1)[1] for c in checks if not c.ok}
 
 
-def flip_sigma_row(space):
-    """sigma_coords with the sign of one row flipped: the row of the first
+def sigma_row(space):
+    """sigma_entries and the mask of its entries in the row of the first
     basis element that the bracket pairs use."""
-    s = space.sigma_coords.copy()
-    s[oracle_pairs(space.dim_g)[0][0]] *= -1.0
-    vars(space)["sigma_coords"] = s
+    rows, cols, values = space.sigma_entries
+    return rows, cols, values, rows == oracle_pairs(space.dim_g)[0][0]
+
+
+def flip_sigma_row(space):
+    """sigma_entries with the sign of that row flipped."""
+    rows, cols, values, row = sigma_row(space)
+    vars(space)["sigma_entries"] = (rows, cols, np.where(row, -values, values))
+
+
+def drop_sigma_entry(space):
+    """sigma_entries with the first entry of that row left out."""
+    rows, cols, values, row = sigma_row(space)
+    keep = np.arange(len(rows)) != np.argmax(row)
+    vars(space)["sigma_entries"] = (rows[keep], cols[keep], values[keep])
+
+
+def scale_sigma_entry(space):
+    """sigma_entries with the first entry of that row scaled by 1 + 1e-6."""
+    rows, cols, values, row = sigma_row(space)
+    first = np.arange(len(rows)) == np.argmax(row)
+    vars(space)["sigma_entries"] = (rows, cols, np.where(first, values * (1.0 + 1e-6), values))
 
 
 def scale_basis_element(space):
@@ -243,6 +266,11 @@ def scale_basis_element(space):
         (("AI", 2, 3), scale_basis_element, {"basis_orthonormal", "bracket_closure"}),
         (("AIII", 2), scale_basis_element, {"basis_orthonormal", "bracket_closure"}),
         (("AI", 4, 5), scale_basis_element, {"basis_orthonormal"}),
+        *(
+            (params, mutate, {"involution_orthogonal_involutive", "graded_bracket_closure"})
+            for mutate in (drop_sigma_entry, scale_sigma_entry)
+            for params in (("AI", 2, 3), ("AII", 2, 2), ("AI", 4, 5))
+        ),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -258,13 +286,15 @@ def test_corrupted_data_fails_the_same_checks(params, mutate, expect):
 # tracemalloc peak of structural_checks on AII(6,6) (N = 24, dim g = 575),
 # set by building the basis data: 27.8 MiB while sigma_coords was the dense
 # product of the flattened basis and its sigma image, 19.0 MiB once it
-# joined the basis entry table with sigma's permutation of positions, and
-# 11.5 MiB now that no check reads the (dim g, N, N) basis tensor or its
-# flattenings (5.3 MiB each) and sigma_eigh splits sigma_coords by its
-# components. The bound leaves 10% over that. Stacks the size of the whole
-# basis (the tensor, sigma of every basis element, every graded matrix)
-# would raise the peak past it.
-AII66_PEAK_MIB = 12.6
+# joined the basis entry table with sigma's permutation of positions,
+# 11.5 MiB once no check read the (dim g, N, N) basis tensor or its
+# flattenings (5.3 MiB each), and 4.5 MiB now that the Gram matrix, the
+# involution's square and its asymmetry are sums over join keys and the
+# involution and its eigenvectors are entry lists: the check builds no
+# dim g x dim g array. The bound leaves 10% over that. A dense d x d
+# array (2.5 MiB each) or stacks the size of the whole basis would raise
+# the peak past it.
+AII66_PEAK_MIB = 4.9
 
 
 def test_structural_checks_peak_memory():
@@ -278,6 +308,30 @@ def test_structural_checks_peak_memory():
         tracemalloc.stop()
     assert all(c.ok for c in checks)
     assert peak <= AII66_PEAK_MIB * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+# The largest tracemalloc peak of one family's battery at cap 6: 5.8 MiB at
+# AII(6,6), whose ad(xi) (2.5 MiB) is the only dim g x dim g array the
+# battery builds; 14.2 MiB while the involution and its eigenvectors were
+# dense d x d matrices and the bracket checks' stacks lived through the
+# graded check (7.8 MiB at BDI_rank1(3,6)). The verify process's peak RSS
+# follows this peak.
+FAMILY_PEAK_MIB = 8.0
+
+
+def test_family_checks_peak_memory():
+    peaks = {}
+    for family in CAP6:
+        tracemalloc.start()
+        try:
+            _, lam = _family_checks(family, 1e-9, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lam is not None, family
+        peaks[str(family)] = peak / 2**20
+    worst = max(peaks, key=peaks.get)
+    assert peaks[worst] <= FAMILY_PEAK_MIB, f"{worst}: peak {peaks[worst]:.2f} MiB"
 
 
 def test_bulk_check_counts_every_failing_draw(monkeypatch):
