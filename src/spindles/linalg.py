@@ -54,6 +54,21 @@ def check_eps(value, name: str = "eps") -> float:
     return eps
 
 
+def check_integers(values: tuple, name: str) -> tuple:
+    """values as a tuple of ints if each one equals its int (an int, a
+    numpy integer or an integral float such as 3.0), else ParameterError
+    naming them: int() alone would truncate 2.5, parse "3" and leave a
+    nan to raise its own ValueError."""
+    try:
+        ints = tuple(int(v) for v in values)
+        integral = all(i == v for i, v in zip(ints, values))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ParameterError(f"{name} must be integers, got {values!r}")
+    return ints
+
+
 def default_eps() -> float:
     """Global absolute tolerance; SPINDLE_EPS overrides the 1e-9 default."""
     return check_eps(os.environ.get("SPINDLE_EPS", DEFAULT_EPS), "SPINDLE_EPS")

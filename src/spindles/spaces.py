@@ -70,6 +70,7 @@ from .linalg import (
     _is_real,
     _is_unitary,
     _scalar_residual,
+    check_integers,
     ensure_square,
     mat_to_vec,
     resolve_eps,
@@ -600,13 +601,7 @@ class SpaceFamily:
             raise ParameterError(
                 f"unknown family tag {self.tag!r}; expected one of {', '.join(FAMILY_TAGS)}"
             )
-        try:
-            params = tuple(int(v) for v in self.params)
-            integral = all(i == v for i, v in zip(params, self.params))
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise ParameterError(f"{self.tag}: parameters must be integers, got {self.params!r}")
+        params = check_integers(self.params, f"{self.tag}: parameters")
         object.__setattr__(self, "params", params)
         if len(params) != (2 if spec.pq else 1):
             arity = "two parameters p, q" if spec.pq else "a single parameter n"

@@ -73,6 +73,7 @@ from .linalg import (
     _is_unitary,
     _scalar_residual,
     _sin_pi,
+    check_integers,
     ensure_square,
     exp_generic,
     rationalize,
@@ -629,7 +630,7 @@ def _return_scan(space: SpaceInstance, w, v, g, phases, tol: float) -> int:
 
 def product_spindle(lambda1: int, lambda2: int) -> int:
     """Spindle number of a product with component values lambda1, lambda2."""
-    l1, l2 = int(lambda1), int(lambda2)
+    l1, l2 = check_integers((lambda1, lambda2), "spindle numbers")
     if l1 < 1 or l2 < 1:
         raise ParameterError(f"spindle numbers are >= 1, got {lambda1}, {lambda2}")
     return math.lcm(l1, l2)
@@ -637,7 +638,7 @@ def product_spindle(lambda1: int, lambda2: int) -> int:
 
 def center_divisibility_check(lam: int, z: int) -> bool:
     """True iff lam divides 2z, and additionally divides z when odd."""
-    l, order = int(lam), int(z)
+    l, order = check_integers((lam, z), "lam and z")
     if l < 1 or order < 1:
         raise ParameterError(f"need positive integers, got lam={lam}, z={z}")
     if (2 * order) % l != 0:

@@ -17,7 +17,7 @@ re-derived here by an independent route and compared:
   * products: the product rule matches a brute-force common-multiple
     search;
   * angles: the exact trig predicates agree with integer arithmetic on
-    random rationals.
+    every rational angle (num/den)*pi with |num| <= 600 and den <= 48.
 
 run_verification() is the engine behind the `verify` CLI command.
 """
@@ -300,40 +300,17 @@ def normalize_recovery_check(space: SpaceInstance, eps: float | None = None) -> 
     )
 
 
-def rational_angle_bulk_check(trials: int, seed: int = 20240229) -> CheckResult:
-    """Exact trig predicates vs integer arithmetic on random rationals.
-
-    The pairs are random.Random(seed)'s randint(-600, 600), randint(1, 48)
-    stream: randint(a, b) is a + _randbelow(b - a + 1), which redraws
-    getrandbits(11) until it is below 1201 and getrandbits(6) until below
-    48; the loop below makes the same calls without the per-draw wrapper
-    overhead. The draws repeat pairs (100,000 of them hold about 47,500
-    distinct ones), so each pair is checked once and its verdict reused:
-    verdicts[i] for i = (num + 600) * 48 + den - 1 is 0 unchecked, 1
-    passed, 2 failed."""
-    getrandbits = random.Random(seed).getrandbits
-    verdicts = bytearray(1201 * 48)
-    bad = 0
-    first = ""
-    for _ in range(trials):
-        r = getrandbits(11)
-        while r >= 1201:
-            r = getrandbits(11)
-        d = getrandbits(6)
-        while d >= 48:
-            d = getrandbits(6)
-        slot = r * 48 + d
-        if not verdicts[slot]:
-            verdicts[slot] = 1 if _rational_angle_exact(r - 600, d + 1) else 2
-        if verdicts[slot] == 2:
-            bad += 1
-            if not first:
-                first = f"{r - 600}/{d + 1}"
-    return CheckResult(
-        "rational_angle_exactness",
-        bad == 0,
-        f"{trials} samples" + ("" if not bad else f", {bad} bad, first {first}"),
-    )
+def rational_angle_bulk_check() -> CheckResult:
+    """Exact trig predicates vs integer arithmetic on every angle
+    (num/den)*pi with -600 <= num <= 600 and 1 <= den <= 48, in ascending
+    (num, den) order: 57,648 angles, each den at every residue of num
+    modulo 2*den."""
+    nums, dens = range(-600, 601), range(1, 49)
+    bad = [f"{n}/{d}" for n in nums for d in dens if not _rational_angle_exact(n, d)]
+    detail = f"{len(nums) * len(dens)} angles"
+    if bad:
+        detail += f", {len(bad)} bad, first {bad[0]}"
+    return CheckResult("rational_angle_exactness", not bad, detail)
 
 
 def _rational_angle_exact(num: int, den: int) -> bool:
@@ -460,14 +437,15 @@ def run_verification(
     cap: int = 6,
     eps: float | None = None,
     debug_scale: float | None = None,
-    angle_trials: int = 100_000,
 ) -> tuple:
     """The full battery over all families with parameters <= cap.
 
     debug_scale rescales every canonical element before the spindle
     analysis; anything but 1 breaks canonicality on purpose, so the
     failure path can be exercised end to end. eps is resolved once here
-    (None reads SPINDLE_EPS) and every stage gets the float.
+    (None reads SPINDLE_EPS) and every stage gets the float. After the
+    families come the product rule and the angle audit over its whole
+    box (rational_angle_bulk_check).
 
     Returns (results, all_ok).
     """
@@ -481,5 +459,5 @@ def run_verification(
             lambdas[str(family)] = lam
 
     results.extend(product_pair_checks(lambdas))
-    results.append(rational_angle_bulk_check(angle_trials))
+    results.append(rational_angle_bulk_check())
     return results, all(r.ok for r in results)

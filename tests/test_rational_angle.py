@@ -41,6 +41,24 @@ class TestExactPredicates:
             assert angle.cos() == 0.0
             assert abs(angle.sin()) == 1.0
 
+    def test_lattice_values_do_not_come_from_libm(self, monkeypatch):
+        # At the multiples of pi/2, _sin_pi and _cos_pi answer from integer
+        # branches, so they stay exact whatever libm returns: here math.sin
+        # and math.cos are one ulp off everywhere. Comparing with the real
+        # libm could not show this, since math.sin is itself exactly +-1.0
+        # at pi/2 and 3*pi/2.
+        sin, cos = math.sin, math.cos
+        monkeypatch.setattr(math, "sin", lambda x: sin(x) * (1 + 2**-52) + 2**-60)
+        monkeypatch.setattr(math, "cos", lambda x: cos(x) * (1 + 2**-52) + 2**-60)
+        assert math.sin(math.pi / 2) != 1.0 and math.sin(0.0) != 0.0
+        for den in (1, 2, 3, 4, 6, 12):
+            for num in range(-4 * den, 4 * den + 1):
+                if 2 * num % den:
+                    continue
+                quarter = 2 * num // den % 4  # t = quarter * pi/2 mod 2*pi
+                assert _sin_pi(num, den) == (0.0, 1.0, 0.0, -1.0)[quarter], (num, den)
+                assert _cos_pi(num, den) == (1.0, 0.0, -1.0, 0.0)[quarter], (num, den)
+
     def test_bulk_million_random_rationals(self):
         # Volume check of the exactness contract: predicates must agree
         # with integer arithmetic on 10**6 random rationals. For den >= 1

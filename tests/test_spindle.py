@@ -229,10 +229,10 @@ class TestVerificationEpsResolvedOnce:
 
         monkeypatch.delenv("SPINDLE_EPS", raising=False)
         monkeypatch.setattr(linalg, "default_eps", counting)
-        run_verification(cap=2, angle_trials=100)
+        run_verification(cap=2)
         assert len(calls) == 1
         calls.clear()
-        run_verification(cap=2, eps=1e-9, angle_trials=100)
+        run_verification(cap=2, eps=1e-9)
         assert calls == []
 
 
@@ -372,6 +372,101 @@ class TestReportChecksOracle:
         assert None in seen["profile_symmetric_about_centrioles"]
 
 
+def _analysis_checks(xi=None, eps=None):
+    """spindle_number(AI(1,2), xi, eps).checks."""
+    return spindle_number(build_space(SpaceFamily.make("AI", 1, 2)), xi, eps).checks
+
+
+def _crafted_checks(params=(1, 2), **changes):
+    """_report_checks on the arguments spindle_number passes it for the
+    canonical AI(*params), with changes applied."""
+    space = build_space(SpaceFamily.make("AI", *params))
+    report = spindle_number(space)
+    args = {
+        "space": space,
+        "g": exp_generic(canonical_element(space.family), math.pi),
+        "spec": report.spectrum,
+        "lam": report.lambda_,
+        "ext_sym": report.extrinsically_symmetric,
+        "exact": report.lambda_,
+        "numeric": report.lambda_,
+        "tol": 1e-9,
+    }
+    args.update(changes)
+    return _report_checks(**args)
+
+
+# (checks the case turns False, how the case gets its checks).
+REPORT_CHECK_FAILURES = [
+    (
+        {"extrinsically_symmetric_type"},
+        lambda: _analysis_checks(xi=np.diag([-1j, 0.0, 1j])),
+    ),
+    (
+        {"slice_zero_iff_knot", "slice_constant_between_knots"},
+        lambda: _analysis_checks(eps=0.1),
+    ),
+    ({"methods_agree"}, lambda: _crafted_checks(exact=3, numeric=4)),
+    (
+        {"adjoint_order_two", "adjoint_commutes_with_involution"},
+        lambda: _crafted_checks(
+            g=exp_generic(canonical_element(SpaceFamily.make("AI", 1, 2)), math.pi / 2)
+        ),
+    ),
+    ({"center_divides_double"}, lambda: _crafted_checks((1, 5), lam=4)),
+    (
+        {
+            "jacobi_zero_iff_knot",
+            "slice_zero_iff_knot",
+            "profile_symmetric_about_knots",
+            "profile_symmetric_about_centrioles",
+        },
+        lambda: _crafted_checks(spec=AdSpectrum((0.0, 1.0 / 3.0), (1, 1), (1, 1))),
+    ),
+]
+
+
+class TestEveryReportCheckCanFail:
+    """Every report check has an input that turns it False, or is named as
+    unable to fail. Where one exists, the input is one spindle_number
+    accepts; the other checks cannot fail on any element spindle_number
+    accepts, so only a crafted _report_checks argument turns them False.
+
+    | check                                | input that turns it False             |
+    |--------------------------------------|---------------------------------------|
+    | extrinsically_symmetric_type         | spindle_number: AI(1,2) at            |
+    |                                      | i*diag(-1, 0, 1)                      |
+    | slice_zero_iff_knot,                 | spindle_number: canonical AI(1,2) at  |
+    | slice_constant_between_knots         | eps 0.1                               |
+    | methods_agree                        | crafted: exact 3, numeric 4           |
+    | adjoint_order_two,                   | crafted: g = exp(pi/2 * xi)           |
+    | adjoint_commutes_with_involution     |                                       |
+    | center_divides_double                | crafted: AI(1,5), center of order 3,  |
+    |                                      | at lambda = 4                         |
+    | jacobi_zero_iff_knot,                | crafted: an AdSpectrum whose only     |
+    | profile_symmetric_about_knots,       | positive frequency is 1/3 (it turns   |
+    | profile_symmetric_about_centrioles   | slice_zero_iff_knot False too)        |
+    | canonical                            | none: it is the literal True          |
+
+    Each case turns exactly the checks it names False."""
+
+    @pytest.mark.parametrize(
+        "names,checks", [pytest.param(*case, id=min(case[0])) for case in REPORT_CHECK_FAILURES]
+    )
+    def test_case_turns_its_checks_false(self, names, checks):
+        got = checks()
+        assert list(got) == REPORT_CHECK_KEYS
+        assert {key for key, value in got.items() if value is False} == names
+
+    def test_table_covers_every_check(self):
+        covered = set().union(*(names for names, _ in REPORT_CHECK_FAILURES))
+        assert covered == set(REPORT_CHECK_KEYS) - {"canonical"}
+
+    def test_canonical_is_the_literal_true(self):
+        for _, checks in REPORT_CHECK_FAILURES:
+            assert checks()["canonical"] is True
+
+
 class TestCenterDivisibility:
     def test_examples(self):
         assert center_divisibility_check(6, 3)
@@ -385,6 +480,21 @@ class TestCenterDivisibility:
             center_divisibility_check(0, 3)
         with pytest.raises(ParameterError):
             center_divisibility_check(2, 0)
+
+    @pytest.mark.parametrize(
+        "lam,z,bad", [(2.5, 5, "2.5"), (float("nan"), 2, "nan"), ("3", 3, "'3'"), (6, 1.5, "1.5")]
+    )
+    def test_refuses_non_integers(self, lam, z, bad):
+        """int() would truncate 2.5 and 1.5, parse '3' and raise a bare
+        ValueError on nan; each is refused by name instead."""
+        with pytest.raises(ParameterError, match="lam and z must be integers") as err:
+            center_divisibility_check(lam, z)
+        assert bad in str(err.value)
+
+    def test_accepts_integral_values(self):
+        assert center_divisibility_check(3.0, 3)
+        assert center_divisibility_check(np.int64(6), np.int32(3))
+        assert not center_divisibility_check(4.0, 1.0)
 
     @given(st.integers(1, 60), st.integers(1, 60))
     def test_matches_direct_definition(self, lam, z):
@@ -401,6 +511,20 @@ class TestProductSpindle:
     def test_validation(self):
         with pytest.raises(ParameterError):
             product_spindle(0, 3)
+
+    @pytest.mark.parametrize(
+        "a,b,bad", [(2.5, 3, "2.5"), ("3", 2, "'3'"), (2, float("inf"), "inf"), (None, 2, "None")]
+    )
+    def test_refuses_non_integers(self, a, b, bad):
+        """int() would truncate 2.5 and parse '3' into a product of 6;
+        each non-integer is refused by name instead."""
+        with pytest.raises(ParameterError, match="spindle numbers must be integers") as err:
+            product_spindle(a, b)
+        assert bad in str(err.value)
+
+    def test_accepts_integral_values(self):
+        assert product_spindle(3.0, 2) == 6
+        assert product_spindle(np.int64(4), np.int32(6)) == 12
 
     @given(st.integers(1, 200), st.integers(1, 200))
     def test_lcm_properties(self, a, b):

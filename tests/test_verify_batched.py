@@ -18,6 +18,7 @@ corrupted in sigma_entries, the form every reader of it is derived from,
 so the oracle's dense sigma_coords and the eigenvectors carry the fault too.
 """
 
+import math
 import random
 import tracemalloc
 
@@ -31,7 +32,7 @@ from spindles.linalg import (
     exp_structured,
     resolve_eps,
 )
-from spindles import verification
+from spindles import linalg, verification
 from spindles.verification import (
     EXHAUSTIVE_CLOSURE_DIM,
     RANDOM_CLOSURE_TRIALS,
@@ -334,30 +335,13 @@ def test_family_checks_peak_memory():
     assert peaks[worst] <= FAMILY_PEAK_MIB, f"{worst}: peak {peaks[worst]:.2f} MiB"
 
 
-def test_bulk_check_counts_every_failing_draw(monkeypatch):
-    """Each distinct (num, den) draw is checked once, but a failing pair
-    counts once per draw and the first failing draw is named."""
-    calls = []
-
-    def fails_on_sevenths(num, den):
-        calls.append((num, den))
-        return den != 7
-
-    monkeypatch.setattr(verification, "_rational_angle_exact", fails_on_sevenths)
-    rng = random.Random(20240229)
-    draws = [(rng.randint(-600, 600), rng.randint(1, 48)) for _ in range(5000)]
-    failing = [(num, den) for num, den in draws if den == 7]
-    result = rational_angle_bulk_check(5000)
-    assert not result.ok
-    num, den = failing[0]
-    assert result.detail == f"5000 samples, {len(failing)} bad, first {num}/{den}"
-    assert sorted(calls) == sorted(set(draws))
+# The angle audit's box, in the order it is checked.
+ANGLE_BOX = [(num, den) for num in range(-600, 601) for den in range(1, 49)]
 
 
-def test_bulk_check_draws_randint_stream(monkeypatch):
-    """The battery's default 100,000 draws at seed 20240229 check exactly
-    the distinct pairs of random.Random(20240229)'s randint(-600, 600),
-    randint(1, 48) stream, each once."""
+def test_bulk_check_enumerates_box_once(monkeypatch):
+    """The audit checks every (num, den) of its box exactly once, in
+    ascending (num, den) order: 1,201 numerators times 48 denominators."""
     calls = []
 
     def record(num, den):
@@ -365,9 +349,69 @@ def test_bulk_check_draws_randint_stream(monkeypatch):
         return True
 
     monkeypatch.setattr(verification, "_rational_angle_exact", record)
-    result = rational_angle_bulk_check(100_000)
-    rng = random.Random(20240229)
-    draws = {(rng.randint(-600, 600), rng.randint(1, 48)) for _ in range(100_000)}
-    assert result.ok
-    assert len(calls) == len(set(calls))
-    assert set(calls) == draws
+    result = rational_angle_bulk_check()
+    assert result == CheckResult("rational_angle_exactness", True, "57648 angles")
+    assert len(calls) == len(set(calls)) == 57_648
+    assert calls == ANGLE_BOX
+
+
+def test_bulk_check_counts_every_failing_angle(monkeypatch):
+    """A failing angle does not stop the audit: each pair is still checked
+    once, every failure is counted and the first one is named."""
+    calls = []
+
+    def fails_on_sevenths(num, den):
+        calls.append((num, den))
+        return den != 7
+
+    monkeypatch.setattr(verification, "_rational_angle_exact", fails_on_sevenths)
+    result = rational_angle_bulk_check()
+    assert not result.ok
+    assert result.detail == "57648 angles, 1201 bad, first -600/7"
+    assert calls == ANGLE_BOX
+
+
+def _without_exact_branch(real, exact_at):
+    """real (_sin_pi or _cos_pi) with the branch that returns the exact
+    value at the angles exact_at(num, den) replaced by the libm formula
+    that the other angles take."""
+    trig = math.sin if real is linalg._sin_pi else math.cos
+
+    def mutant(num, den):
+        if exact_at(num, den):
+            return trig(math.pi * ((num % (2 * den)) / den))
+        return real(num, den)
+
+    return mutant
+
+
+def _detail_for(bad):
+    return f"57648 angles, {len(bad)} bad, first {bad[0][0]}/{bad[0][1]}"
+
+
+def test_bulk_check_catches_sin_without_exact_zero(monkeypatch):
+    """With _sin_pi's exact-zero branch gone, sin at an odd multiple of pi
+    is libm's 1.2e-16, not 0.0 (at even multiples libm's sin(0) is exact),
+    and the audit names the first such angle of its box. _sin_pi's +-1
+    branch is not guarded this way: math.sin is already exactly +-1.0 at
+    pi/2 and 3*pi/2. The branch stays so that exactness does not rest on libm."""
+    mutant = _without_exact_branch(linalg._sin_pi, lambda num, den: num % den == 0)
+    monkeypatch.setattr(linalg, "_sin_pi", mutant)
+    bad = [(num, den) for num, den in ANGLE_BOX if num % den == 0 and num // den % 2]
+    result = rational_angle_bulk_check()
+    assert not result.ok
+    assert result.detail == _detail_for(bad) == "57648 angles, 2680 bad, first -600/8"
+
+
+def test_bulk_check_catches_cos_without_exact_zero(monkeypatch):
+    """With _cos_pi's exact-zero branch gone, cos at a half-integer multiple
+    of pi is libm's 6.1e-17 or -1.8e-16, not 0.0, and the audit names the
+    first such angle of its box."""
+    mutant = _without_exact_branch(
+        linalg._cos_pi, lambda num, den: num % den and 2 * num % den == 0
+    )
+    monkeypatch.setattr(linalg, "_cos_pi", mutant)
+    bad = [(num, den) for num, den in ANGLE_BOX if den // math.gcd(num, den) == 2]
+    result = rational_angle_bulk_check()
+    assert not result.ok
+    assert result.detail == _detail_for(bad) == "57648 angles, 2268 bad, first -600/16"
