@@ -97,22 +97,28 @@ def _is_anti_hermitian(m: np.ndarray, tol: float) -> bool:
     return float(np.max(np.abs(m + m.conj().T))) <= tol
 
 
-def _is_unitary(m: np.ndarray, tol: float) -> bool:
-    return _scalar_residual(m.conj().T @ m, 1.0) <= tol
+# _is_unitary, _is_real and _scalar_residual take a (..., N, N) stack and
+# reduce over its last two axes: one result per matrix, a numpy scalar for
+# one matrix.
 
 
-def _is_real(m: np.ndarray, tol: float) -> bool:
-    return float(np.max(np.abs(m.imag))) <= tol
+def _is_unitary(m: np.ndarray, tol: float) -> np.ndarray:
+    return _scalar_residual(m.conj().mT @ m, 1.0) <= tol
 
 
-def _scalar_residual(a: np.ndarray, c) -> float:
-    """max |a - c*I| over the entries of the square a, with c subtracted
-    from the diagonal of a copy and no identity built. Each entry is the
-    float a - c*np.eye(n) holds (x - 0 off the diagonal), so the maximum
-    is the same to the bit."""
+def _is_real(m: np.ndarray, tol: float) -> np.ndarray:
+    return np.abs(m.imag).max(axis=(-2, -1)) <= tol
+
+
+def _scalar_residual(a: np.ndarray, c) -> np.ndarray:
+    """max |a - c*I| over the entries of each square matrix of a, with c
+    subtracted from the diagonals of a copy and no identity built. Each
+    entry is the float a - c*np.eye(n) holds (x - 0 off the diagonal), so
+    each maximum is the same to the bit."""
+    n = a.shape[-1]
     shifted = a.copy()
-    shifted.reshape(-1)[:: a.shape[0] + 1] -= c
-    return float(np.max(np.abs(shifted)))
+    shifted.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1] -= c
+    return np.abs(shifted).max(axis=(-2, -1))
 
 
 def mat_to_vec(a) -> np.ndarray:
@@ -235,13 +241,8 @@ def exp_generic(a, t: float = 1.0, eps: float | None = None) -> np.ndarray:
     Exact up to eigensolver roundoff and unitary to machine precision;
     the closed forms are cross-checked against this.
     """
-    return _exp_generic_many(a, (t,), eps)[0]
-
-
-def _exp_generic_many(a, times, eps: float | None = None) -> list:
-    """[exp(t*a) for t in times] from one eigendecomposition of -i*a."""
     w, v = _eigh_trusted(ensure_square(a), resolve_eps(eps), "exp_generic")
-    return [_exp_eigh(w, v, t) for t in times]
+    return _exp_eigh(w, v, t)
 
 
 def _eigh_trusted(m: np.ndarray, tol: float, caller: str) -> tuple:
@@ -256,6 +257,13 @@ def _eigh_trusted(m: np.ndarray, tol: float, caller: str) -> tuple:
 def _exp_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """exp(t*a) = v diag(exp(i t w)) v* for a = i v diag(w) v*."""
     return (v * np.exp(1j * float(t) * w)) @ v.conj().T
+
+
+def _exp_generic_many(w: np.ndarray, v: np.ndarray, times) -> np.ndarray:
+    """The (A, N, N) stack of _exp_eigh(w, v, t) for the A floats t of
+    times, each slice the same to the bit, in one product."""
+    t = np.asarray(times, dtype=float)
+    return (v * np.exp((1j * t)[:, None] * w)[:, None, :]) @ v.conj().T
 
 
 def exp_structured(xi, t: RationalAngle, form: str, eps: float | None = None) -> np.ndarray:
@@ -276,12 +284,13 @@ def exp_structured(xi, t: RationalAngle, form: str, eps: float | None = None) ->
     return _exp_structured_many(xi, (t,), form, eps)[0]
 
 
-def _exp_structured_many(xi, angles, form: str, eps: float | None = None) -> list:
-    """[exp_structured(xi, t, form, eps) for t in angles], with the form's
-    identity checked and the diagonal of xi rationalized once. The trig
-    values are read from the integers of each angle and phase, so no
-    RationalAngle is built; a diagonal phase takes one entry per angle
-    and distinct phase value."""
+def _exp_structured_many(xi, angles, form: str, eps: float | None = None) -> np.ndarray:
+    """The (A, N, N) stack of exp_structured(xi, t, form, eps) for the A
+    angles t, with the form's identity checked once. The trig values are
+    read from the integers of each angle and phase, so no RationalAngle
+    is built, and broadcast over the stack; a diagonal phase rationalizes
+    each distinct diagonal value of xi once and takes one entry per angle
+    and distinct value."""
     m = ensure_square(xi)
     tol = resolve_eps(eps)
     eye = np.eye(m.shape[0])
@@ -293,23 +302,29 @@ def _exp_structured_many(xi, angles, form: str, eps: float | None = None) -> lis
         d = np.diagonal(m)
         if float(np.max(np.abs(d.real))) > tol:
             raise FormIdentityError("diagonal-phase form needs purely imaginary diagonal")
-        phases = [rationalize(v) for v in d.imag]
-        distinct = list(dict.fromkeys(phases))
-        slots = [distinct.index(f) for f in phases]
-        scaled = ([(t.num * f.numerator, t.den * f.denominator) for f in distinct] for t in angles)
-        rows = ([complex(_cos_pi(*q), _sin_pi(*q)) for q in row] for row in scaled)
-        return [np.diag([row[s] for s in slots]) for row in rows]
+        values, slots = np.unique(d.imag, return_inverse=True)
+        phases = [rationalize(v) for v in values.tolist()]
+        scaled = ([(t.num * f.numerator, t.den * f.denominator) for f in phases] for t in angles)
+        rows = np.array([[complex(_cos_pi(*q), _sin_pi(*q)) for q in row] for row in scaled])
+        out = np.zeros((len(angles),) + m.shape, dtype=complex)
+        diagonal = np.arange(m.shape[0])
+        out[:, diagonal, diagonal] = rows[:, slots]
+        return out
 
     if form == "half-angle":
         if float(np.max(np.abs(m @ m + eye / 4))) > tol:
             raise FormIdentityError("half-angle form needs xi^2 = -I/4")
         halves = [(t.num, 2 * t.den) for t in angles]
-        return [_cos_pi(*h) * eye + (2.0 * _sin_pi(*h)) * m for h in halves]
+        c = np.array([_cos_pi(*h) for h in halves])
+        s = np.array([2.0 * _sin_pi(*h) for h in halves])
+        return c[:, None, None] * eye + s[:, None, None] * m
 
     if form == "rotation-block":
         m2 = m @ m
         if float(np.max(np.abs(m2 @ m + m))) > tol:
             raise FormIdentityError("rotation-block form needs xi^3 = -xi")
-        return [eye + t.sin() * m + (1.0 - t.cos()) * m2 for t in angles]
+        s = np.array([t.sin() for t in angles])
+        c = np.array([1.0 - t.cos() for t in angles])
+        return eye + s[:, None, None] * m + c[:, None, None] * m2
 
     raise FormIdentityError(f"unknown closed form {form!r}; expected one of {CLOSED_FORMS}")

@@ -88,8 +88,8 @@ class FamilySpec:
 
     The three lambda facts are written independently of each other:
     `identity_component` is the family's part of stated_membership's exact
-    rule, `isotropy` decides a unitary matrix g numerically at tolerance
-    tol, and `table_lambda` is the published value."""
+    rule, `isotropy` decides each unitary matrix of a stack g numerically
+    at tolerance tol, and `table_lambda` is the published value."""
 
     pq: bool  # parameters 1 <= p <= q, else a single n
     lower_bound: int  # least p + q, or least n
@@ -109,7 +109,8 @@ class FamilySpec:
     orbit_name: Callable[..., str]
     closed_form: str  # see linalg.exp_structured
     canonical: Callable[..., np.ndarray]
-    isotropy: Callable[..., bool]  # (g, tol, *params)
+    # (g, tol, *params): one bool per matrix of the (..., N, N) stack g.
+    isotropy: Callable[..., np.ndarray]
     table_lambda: Callable[..., int]
     center: Callable[..., tuple] = _no_center  # (order or None, provenance note)
     cover: int = 1
@@ -389,47 +390,77 @@ def _half_swap(n: int, blocks: int) -> np.ndarray:
     return 0.5j * xi
 
 
-# Isotropy predicates: membership of a unitary g in K at tolerance tol. g is
-# a square complex matrix of the ambient size that isotropy_contains or the
-# return scan has already validated; no predicate checks it again.
+# Isotropy predicates: membership of unitary matrices in K at tolerance tol.
+# g is a (..., N, N) stack of square complex matrices of the ambient size
+# that _isotropy or the return scan has already validated, and each
+# predicate returns one bool per matrix, reducing over the last two axes;
+# no predicate checks g again. A conjunction is _all_of, so a later
+# conjunct reads only the matrices that passed the earlier ones, as `and`
+# does on one matrix.
 
 
-def _det_one(g: np.ndarray, tol: float) -> bool:
+def _all_of(g: np.ndarray, *tests) -> np.ndarray:
+    """One bool per matrix of the stack g: whether every test holds, each
+    test a map of a stack to one bool per matrix. A later test runs on the
+    whole stack while every matrix has passed so far, on the passing
+    matrices while some have, and not at all once none has; on one matrix
+    (no leading axis) ok is a numpy bool and this is `and`."""
+    ok = tests[0](g)
+    for test in tests[1:]:
+        if ok.all():
+            ok = test(g)
+        elif ok.any():
+            ok[ok] = test(g[ok])
+    return ok
+
+
+def _det_one(g: np.ndarray, tol: float) -> np.ndarray:
     return abs(np.linalg.det(g) - 1.0) <= max(tol, 1e-9)
 
 
-def _commutes_diag(g: np.ndarray, s: np.ndarray, tol: float) -> bool:
+def _commutes_diag(g: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
     """g commutes with diag(s) for signs s within tol: g diag(s) - diag(s) g
     has the entries g_ij (s_j - s_i), the same floats as the products."""
-    return float(np.max(np.abs(g * (s - s[:, None])))) <= tol
+    return np.abs(g * (s - s[:, None])).max(axis=(-2, -1)) <= tol
 
 
-def _in_so_times_so(g: np.ndarray, tol: float, p: int, q: int) -> bool:
+def _in_so_times_so(g: np.ndarray, tol: float, p: int, q: int) -> np.ndarray:
     """g in SO(p) x SO(q), block diagonal in the signature splitting."""
-    return (
-        _is_real(g, tol)
-        and _commutes_diag(g, _signs(p, q), tol)
-        and all(_det_one(block, tol) for block in (g[:p, :p], g[p:, p:]))
+    return _all_of(
+        g,
+        lambda h: _is_real(h, tol),
+        lambda h: _commutes_diag(h, _signs(p, q), tol),
+        lambda h: _det_one(h[..., :p, :p], tol),
+        lambda h: _det_one(h[..., p:, p:], tol),
     )
 
 
-def _j_intertwines(g: np.ndarray, h: np.ndarray, tol: float) -> bool:
+def _j_intertwines(g: np.ndarray, h: np.ndarray, tol: float) -> np.ndarray:
     """g J = J h within tol, J of the size of g."""
-    return float(np.max(np.abs(_times_j(g) - _j_times(h)))) <= tol
+    return np.abs(_times_j(g) - _j_times(h)).max(axis=(-2, -1)) <= tol
 
 
-def _quaternionic(g: np.ndarray, tol: float, p: int, q: int) -> bool:
+def _quaternionic(g: np.ndarray, tol: float, p: int, q: int) -> np.ndarray:
     """g commutes with the quaternionic structure: g J = J conj(g)."""
     return _j_intertwines(g, g.conj(), tol)
 
 
-def _in_sp_times_sp(g: np.ndarray, tol: float, n: int) -> bool:
+def _real_intertwining(g: np.ndarray, tol: float, n: int) -> np.ndarray:
+    """g real and commuting with J (DIII and CI)."""
+    return _all_of(g, lambda h: _is_real(h, tol), lambda h: _j_intertwines(h, h, tol))
+
+
+def _in_sp_times_sp(g: np.ndarray, tol: float, n: int) -> np.ndarray:
     """g symplectic for J_2n and commuting with the CII involution."""
-    symplectic = float(np.max(np.abs(_times_j(g.T) @ g - _j_matrix(2 * n)))) <= tol
-    return symplectic and _commutes_diag(g, _signs(n, n, n, n), tol)
+    j = _j_matrix(2 * n)
+    return _all_of(
+        g,
+        lambda h: np.abs(_times_j(h.mT) @ h - j).max(axis=(-2, -1)) <= tol,
+        lambda h: _commutes_diag(h, _signs(n, n, n, n), tol),
+    )
 
 
-def _squares_to_one(g: np.ndarray, tol: float, *_) -> bool:
+def _squares_to_one(g: np.ndarray, tol: float, *_) -> np.ndarray:
     """Group families: exp(t xi) = exp(-t xi) iff g^2 = I."""
     return _scalar_residual(g @ g, 1.0) <= tol
 
@@ -453,7 +484,9 @@ _PAIRS = {
         space_name=lambda p, q: f"SU({p + q})/SO({p + q})",
         orbit_name=lambda p, q: f"SO({p + q})/S(O({p})xO({q}))",
         closed_form="diagonal-phase", canonical=_phase_element,
-        isotropy=lambda g, tol, p, q: _is_real(g, tol) and _det_one(g, tol),
+        isotropy=lambda g, tol, p, q: _all_of(
+            g, lambda h: _is_real(h, tol), lambda h: _det_one(h, tol)
+        ),
         table_lambda=_phase_lambda,
         center=lambda p, q: (
             (3, "isometry group SU(6)/Z_2 has center of order 3") if p + q == 6 else _no_center()
@@ -477,7 +510,9 @@ _PAIRS = {
         space_name=lambda n: f"SU({2 * n})/S(U({n})xU({n}))",
         orbit_name=lambda n: f"U({n})",
         closed_form="half-angle", canonical=lambda n: _half_swap(n, 2),
-        isotropy=lambda g, tol, n: _commutes_diag(g, _signs(n, n), tol) and _det_one(g, tol),
+        isotropy=lambda g, tol, n: _all_of(
+            g, lambda h: _commutes_diag(h, _signs(n, n), tol), lambda h: _det_one(h, tol)
+        ),
         table_lambda=lambda n: 2,
     ),
     "BDI_rank1": FamilySpec(
@@ -512,7 +547,7 @@ _PAIRS = {
         orbit_name=lambda n: f"U({2 * n})/Sp({n})",
         closed_form="half-angle",
         canonical=lambda n: 0.5 * _block_diag(_j_matrix(n), -_j_matrix(n)),
-        isotropy=lambda g, tol, n: _is_real(g, tol) and _j_intertwines(g, g, tol),
+        isotropy=_real_intertwining,
         table_lambda=lambda n: 2,
     ),
     "CI": FamilySpec(
@@ -523,7 +558,7 @@ _PAIRS = {
         space_name=lambda n: f"Sp({n})/U({n})",
         orbit_name=lambda n: f"U({n})/SO({n})",
         closed_form="half-angle", canonical=lambda n: 0.5j * _signature(n, n),
-        isotropy=lambda g, tol, n: _is_real(g, tol) and _j_intertwines(g, g, tol),
+        isotropy=_real_intertwining,
         table_lambda=lambda n: 2,
     ),
     "CII": FamilySpec(
@@ -961,10 +996,16 @@ def canonical_element(family: SpaceFamily) -> np.ndarray:
 
 def isotropy_contains(space: SpaceInstance, g, eps: float | None = None) -> bool:
     """Membership of a unitary g in the isotropy subgroup K (for group
-    families: the condition g^2 = I equivalent to exp(t xi) = exp(-t xi))."""
-    tol = resolve_eps(eps)
-    m = space._matrix(g)
-    if not _is_unitary(m, tol):
+    families: the condition g^2 = I equivalent to exp(t xi) = exp(-t xi)),
+    as a bool: the family's predicate on g, a stack with no leading axis."""
+    return bool(_isotropy(space, space._matrix(g), resolve_eps(eps)))
+
+
+def _isotropy(space: SpaceInstance, m: np.ndarray, tol: float) -> np.ndarray:
+    """The family's predicate on m, a validated matrix or (..., N, N) stack
+    of the ambient size, as one bool per matrix, once every matrix of m
+    has passed the unitarity test."""
+    if not np.all(_is_unitary(m, tol)):
         raise NotUnitaryError(f"{space.family}: isotropy test requires a unitary matrix")
     family = space.family
     return family._spec.isotropy(m, tol, *family.params)

@@ -650,7 +650,7 @@ def center_divisibility_check(lam: int, z: int) -> bool:
 
 def _is_scalar(a: np.ndarray, tol: float) -> bool:
     """True iff a is within tol of c*I, c the mean of its diagonal."""
-    return _scalar_residual(a, np.trace(a) / a.shape[0]) <= tol
+    return bool(_scalar_residual(a, np.trace(a) / a.shape[0]) <= tol)
 
 
 def adjoint_conjugation_flags(space: SpaceInstance, xi, eps: float | None = None) -> tuple:

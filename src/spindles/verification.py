@@ -7,9 +7,11 @@ re-derived here by an independent route and compared:
     involutive automorphism, dimensions add up, the canonical element is
     tangent;
   * exponentials: the closed form agrees with the eigendecomposition
-    route on a grid of rational angles;
-  * membership: the isotropy predicate agrees with the exact membership
-    rule, read from the eigenphases of xi, along the canonical geodesic;
+    route on a grid of rational angles, each route's grid one (A, N, N)
+    stack from one form check or one eigendecomposition of xi;
+  * membership: the isotropy predicate, asked once for the whole stack of
+    closed forms, agrees with the exact membership rule, read from the
+    eigenphases of xi, along the canonical geodesic;
   * spindle: the exact and numeric methods agree with each other and
     with the closed-form table value, and the per-report geometric
     checks (variation-field zeros, slice profile, symmetries, adjoint
@@ -33,18 +35,20 @@ import numpy as np
 from .errors import DegenerateElementError
 from .linalg import (
     RationalAngle,
+    _eigh_trusted,
     _exp_generic_many,
     _exp_structured_many,
+    ensure_square,
     resolve_eps,
 )
 from .spaces import (
     SpaceInstance,
+    _isotropy,
     _join,
     _key_sums,
     _times_sparse,
     build_space,
     canonical_element,
-    isotropy_contains,
     stated_membership,
     sweep_families,
 )
@@ -244,26 +248,28 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
 
 
 def _closed_form_scan(space: SpaceInstance, eps: float | None = None) -> tuple:
-    """(angles, exps): t = k*pi/6 for 0 <= k <= 24*cover and the closed-form
-    exp(t*xi) at each, with one form check of xi for all of them. The first
-    25 are the exp scan's angles; all of them are the isotropy scan's."""
+    """(angles, closed, w, v): t = k*pi/6 for 0 <= k <= 24*cover, the
+    (A, N, N) stack of the closed-form exp(t*xi) at each, with one form
+    check of xi for all of them, and the one eigendecomposition
+    xi = i v diag(w) v* of the two scans. The first 25 angles are the exp
+    scan's; all of them are the isotropy scan's."""
     angles = [RationalAngle(k, 6) for k in range(24 * space.cover_multiplier + 1)]
-    xi = canonical_element(space.family)
-    return angles, _exp_structured_many(xi, angles, space.family.closed_form, eps)
+    xi = ensure_square(canonical_element(space.family))
+    closed = _exp_structured_many(xi, angles, space.family.closed_form, eps)
+    w, v = _eigh_trusted(xi, resolve_eps(eps), "exp_generic")
+    return angles, closed, w, v
 
 
 def exp_agreement_check(
     space: SpaceInstance, eps: float | None = None, scan: tuple | None = None
 ) -> CheckResult:
     """Closed-form exp(t*xi) vs the eigendecomposition route on t = k*pi/6,
-    k <= 24, with one eigendecomposition of xi for all 25 angles; the
-    closed forms are the first 25 of scan (_closed_form_scan when None)."""
-    angles, closed = scan or _closed_form_scan(space, eps)
-    xi = canonical_element(space.family)
-    generic = _exp_generic_many(xi, [t.radians for t in angles[:25]], eps)
-    worst = 0.0
-    for a, b in zip(closed[:25], generic):
-        worst = max(worst, float(np.max(np.abs(a - b))))
+    k <= 24, both as (25, N, N) stacks: the closed forms are the first 25
+    of scan (_closed_form_scan when None), the generic route its one
+    eigendecomposition at all 25 angles."""
+    angles, closed, w, v = scan or _closed_form_scan(space, eps)
+    generic = _exp_generic_many(w, v, [t.radians for t in angles[:25]])
+    worst = float(np.max(np.abs(closed[:25] - generic)))
     return CheckResult(
         f"{space.family}:exp_closed_form_agrees", worst <= 1e-9, f"max dev {worst:.2e}"
     )
@@ -273,20 +279,20 @@ def isotropy_scan_check(
     space: SpaceInstance, eps: float | None = None, scan: tuple | None = None
 ) -> CheckResult:
     """isotropy predicate vs the exact membership rule (from the phases of
-    xi) on the angles and closed forms of scan (_closed_form_scan when None)."""
-    xi = canonical_element(space.family)
-    phases = _rational_phases(np.linalg.eigvalsh(-1j * xi))
-    angles, exps = scan or _closed_form_scan(space, eps)
-    mismatches = []
-    for k, (t, g) in enumerate(zip(angles, exps)):
-        got = isotropy_contains(space, g, eps)
-        want = stated_membership(space.family, phases, t)
-        if got != want:
-            mismatches.append((k, got, want))
+    xi, rationalized from scan's eigenvalues) on the angles and closed
+    forms of scan (_closed_form_scan when None): one unitarity test and
+    one predicate call on the whole stack, then the rule angle by angle."""
+    family = space.family
+    angles, closed, w, _ = scan or _closed_form_scan(space, eps)
+    got = _isotropy(space, closed, resolve_eps(eps))
+    phases = _rational_phases(w)
+    mismatches = [
+        k for k, t in enumerate(angles) if got[k] != stated_membership(family, phases, t)
+    ]
     return CheckResult(
-        f"{space.family}:isotropy_matches_membership",
+        f"{family}:isotropy_matches_membership",
         not mismatches,
-        "" if not mismatches else f"first mismatch at k={mismatches[0][0]}/6",
+        "" if not mismatches else f"first mismatch at k={mismatches[0]}/6",
     )
 
 
@@ -388,10 +394,11 @@ def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     other arrays are smaller: the join pairs and key sums of the Gram
     matrix and the involution, the (P, N, N) pair stacks of the bracket
     checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above; each
-    dropped once its residual is taken) and the one list of 25 or 49 N x N
-    closed-form exponentials that the exp scan (its first 25) and the
-    isotropy scan (all) share. Under tracemalloc the largest cap-6 peak is
-    5.8 MiB (AII(6,6))."""
+    dropped once its residual is taken) and the scans' (A, N, N) stacks:
+    the one stack of A = 25 or 49 closed-form exponentials and the one
+    eigendecomposition of xi that the exp scan (its first 25) and the
+    isotropy scan (all) share, and the exp scan's (25, N, N) generic
+    stack. Under tracemalloc the largest cap-6 peak is 5.8 MiB (AII(6,6))."""
     space = build_space(family)
     name = str(family)
     results = structural_checks(space, eps)

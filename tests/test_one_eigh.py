@@ -4,7 +4,9 @@ spindle_number diagonalizes xi once and reads the spectrum, the return
 scan and exp(pi*xi) from it; the pi/12 slice profile comes from the
 integer frequencies through the slice lattice; normalize_canonical takes its
 frequencies from root data; the verify scans check and rationalize the
-closed form once per space; a verify pass diagonalizes sigma_coords once
+closed form once per space and build each route's exponentials as one
+(A, N, N) stack, each slice the per-angle matrix to the bit (the generic
+route's against _exp_eigh); a verify pass diagonalizes sigma_coords once
 per space, one small eigh per component of its nonzero pattern, for its
 graded-closure check and its d x d spectrum alike.
 The oracles below are the earlier code, kept verbatim apart from names:
@@ -29,8 +31,11 @@ from spindles.errors import (
 from spindles.linalg import (
     CLOSED_FORMS,
     RationalAngle,
-    _is_anti_hermitian,
+    _eigh_trusted,
+    _exp_eigh,
+    _exp_generic_many,
     _exp_structured_many,
+    _is_anti_hermitian,
     ensure_square,
     exp_generic,
     exp_structured,
@@ -343,16 +348,28 @@ FORM_FAILURES = {
 
 
 class TestStructuredMany:
-    @pytest.mark.parametrize("family", list(sweep_families(6)), ids=str)
+    @pytest.mark.parametrize("family", list(sweep_families(8)), ids=str)
     def test_byte_equal_to_single_angle(self, family):
         xi = canonical_element(family)
         form = family.closed_form
         many = _exp_structured_many(xi, ANGLES, form, EPS)
-        assert len(many) == len(ANGLES)
+        assert many.shape == (len(ANGLES),) + xi.shape
         for t, got in zip(ANGLES, many):
             want = oracle_exp_structured(xi, t, form, EPS)
             assert got.tobytes() == want.tobytes(), str(t)
             assert exp_structured(xi, t, form, EPS).tobytes() == want.tobytes(), str(t)
+
+    @pytest.mark.parametrize("family", list(sweep_families(8)), ids=str)
+    def test_generic_stack_byte_equal_to_single_angle(self, family):
+        # The exp scan's 25 angles from one eigendecomposition, as one
+        # (25, N, N) product: each slice is the per-angle _exp_eigh.
+        xi = ensure_square(canonical_element(family))
+        w, v = _eigh_trusted(xi, EPS, "test")
+        times = [t.radians for t in ANGLES[:25]]
+        many = _exp_generic_many(w, v, times)
+        assert many.shape == (25,) + xi.shape
+        for t, got in zip(times, many):
+            assert got.tobytes() == _exp_eigh(w, v, t).tobytes(), t
 
     @pytest.mark.parametrize("case", sorted(FORM_FAILURES))
     def test_form_identity_failures_raise(self, case):
@@ -392,6 +409,8 @@ class TestStructuredMany:
         space = build_space(SpaceFamily.make("AI", 2, 3))
         assert verification.exp_agreement_check(space, EPS).ok
         assert verification.isotropy_scan_check(space, EPS).ok
-        # One of each of the 5 diagonal entries per check, and one of each
-        # of the 2 phase clusters (-3/5 twice, 2/5 three times) in the scan.
-        assert len(calls) == 2 * space.ambient_dim + 2 == 12
+        # Each check builds its own scan, whose closed form rationalizes
+        # each of the 2 distinct diagonal values (-3/5 twice, 2/5 three
+        # times) once; the isotropy check adds one of each of the 2 phase
+        # clusters of the scan's eigenvalues for the exact rule.
+        assert len(calls) == 2 * 2 + 2 == 6
