@@ -5,7 +5,9 @@ re-derived here by an independent route and compared:
 
   * structural: the basis is orthonormal, the involution is an isometric
     involutive automorphism, dimensions add up, the canonical element is
-    tangent;
+    tangent; the basis facts (orthonormality, bracket closure) are
+    checked once per basis table, which the algebra's basis rule and N
+    determine, and printed for each family on it;
   * exponentials: the closed form agrees with the eigendecomposition
     route on a grid of rational angles, each route's grid one (A, N, N)
     stack from one form check or one eigendecomposition of xi;
@@ -120,24 +122,25 @@ def _involution_dev(s: tuple, d: int) -> float:
 
 def _graded_factors(ev: tuple, signs: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple:
     """The graded check's factors of the pairs (i, j) of sigma eigenvector
-    indices, as two coordinate arrays: the eigenvectors themselves while
-    every pair is checked, above EXHAUSTIVE_CLOSURE_DIM seeded random unit
-    vectors, each of the whole eigenspace of its eigenvector. ev holds
-    sigma_eigh's eigenvectors as entries; each lies in one component of
-    the involution, a few basis elements, so a sample of them would miss
-    a fault in the elements outside it; a random vector of an eigenspace
-    touches all of them."""
+    indices, as (coordinate rows, row of each left factor, row of each
+    right factor): the eigenvectors themselves while every pair is
+    checked, above EXHAUSTIVE_CLOSURE_DIM seeded random unit vectors, each
+    of the whole eigenspace of its eigenvector. ev holds sigma_eigh's
+    eigenvectors as entries; each lies in one component of the involution,
+    a few basis elements, so a sample of them would miss a fault in the
+    elements outside it; a random vector of an eigenspace touches all of
+    them."""
     rows, cols, values = ev
     d = len(signs)
     if d <= EXHAUSTIVE_CLOSURE_DIM:
         vectors = np.zeros((d, d))
         vectors[cols, rows] = values
-        return vectors[i], vectors[j]
+        return vectors, i, j
     idx = np.concatenate((i, j))
     weights = np.random.default_rng(1).standard_normal((len(idx), d))
     weights *= signs == signs[idx, None]
     weights /= np.linalg.norm(weights, axis=1, keepdims=True)
-    return tuple(_times_sparse(weights, ev, d).reshape(2, len(i), -1))
+    return _times_sparse(weights, ev, d), np.arange(len(i)), np.arange(len(i), len(idx))
 
 
 def _brackets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,21 +155,48 @@ def _max_dev(residual: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max(np.max(np.abs(residual), axis=(1, 2)) / scale))
 
 
-def _bracket_checks(space: SpaceInstance, name: str, tol: float) -> list:
-    """bracket_closure and involution_automorphism on the sampled pairs of
-    basis elements: the (P, N, N) stacks of the factors, their brackets and
-    the coordinate round trip of those, then the sigma images. Each stack
-    is dropped once the residual that reads it is taken."""
+def _once(shared: dict | None, key: str, compute):
+    """compute(), computed once per basis table: shared holds what the
+    first family on the table computed, and a standalone call (shared
+    None) computes its own."""
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
+def _closure_facts(space: SpaceInstance) -> tuple:
+    """(pair, elements, br, scale, closure_dev): the facts of the sampled
+    bracket pairs that read the basis table alone. elements is the
+    (U, N, N) stack of the U distinct basis elements that the pairs use,
+    scattered once, and pair the (2, P) rows of each pair's factors in it;
+    br is the (P, N, N) stack of their brackets, scale 1 + max|br| per
+    pair, and closure_dev the worst relative residual of br's coordinate
+    round trip (_gather then _scatter)."""
     i, j = _pairs(space.dim_g)
-    a, b = space._elements(i), space._elements(j)
-    br = _brackets(a, b)
+    used, inv = np.unique(np.r_[i, j], return_inverse=True)
+    elements = space._elements(used)
+    pair = inv.reshape(2, -1)
+    br = _brackets(elements[pair[0]], elements[pair[1]])
     scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
     closure_dev = _max_dev(br - space._scatter(space._gather(br)), scale)
+    return pair, elements, br, scale, closure_dev
+
+
+def _bracket_checks(space: SpaceInstance, name: str, tol: float, shared: dict | None) -> list:
+    """bracket_closure and involution_automorphism on the sampled pairs of
+    basis elements: _closure_facts, once per basis table (_once), then
+    sigma(br) less the brackets of the sigma images of the pair factors,
+    sigma applied once to the stack of distinct elements. A standalone
+    call drops br once sigma(br) is taken."""
+    pair, elements, br, scale, closure_dev = _once(
+        shared, "closure", lambda: _closure_facts(space)
+    )
     image = space._sigma(br)
     del br
-    sa, sb = space._sigma(a), space._sigma(b)
-    del a, b
-    image -= _brackets(sa, sb)
+    images = space._sigma(elements)
+    image -= _brackets(images[pair[0]], images[pair[1]])
     auto_dev = _max_dev(image, scale)
     return [
         CheckResult(f"{name}:bracket_closure", closure_dev <= tol, f"max dev {closure_dev:.2e}"),
@@ -179,12 +209,16 @@ def _bracket_checks(space: SpaceInstance, name: str, tol: float) -> list:
 def _graded_check(space: SpaceInstance, name: str, tol: float) -> CheckResult:
     """Graded closure: brackets of sigma eigenvectors (or of vectors of
     their eigenspaces) land in the right eigenspace ([k,k] and [p,p] in k,
-    [k,p] in p). The brackets' coordinates c should satisfy s c = +-c; the
+    [k,p] in p). The factor rows are scattered once, as one stack that the
+    pairs index. The brackets' coordinates c should satisfy s c = +-c; the
     check reads the norm of the part of c in the wrong eigenspace."""
     ew, ev = space.sigma_eigh
     signs = np.where(ew > 0.0, 1.0, -1.0)
     i, j = _pairs(space.dim_g, seed=1)
-    br = _brackets(*(space._scatter(f) for f in _graded_factors(ev, signs, i, j)))
+    rows, left, right = _graded_factors(ev, signs, i, j)
+    factors = space._scatter(rows)
+    br = _brackets(factors[left], factors[right])
+    del factors
     c = space._gather(br)
     scale = 1.0 + np.max(np.abs(br), axis=(1, 2))
     want = (signs[i] * signs[j])[:, None]
@@ -195,7 +229,9 @@ def _graded_check(space: SpaceInstance, name: str, tol: float) -> CheckResult:
     )
 
 
-def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
+def structural_checks(
+    space: SpaceInstance, eps: float | None = None, shared: dict | None = None
+) -> list:
     """Basis/involution/bracket invariants for one space.
 
     Every basis read goes through the basis entry table, and no dim_g x
@@ -205,18 +241,25 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
     identity and its asymmetry over the keys of joins of sigma_entries
     (_involution_dev). Each bracket check (_bracket_checks, _graded_check)
     builds (P, N, N) stacks for its P sampled pairs only: the two
-    factors, scattered from the table rows of the basis elements that the
-    pairs index (for the graded check, of the coordinates _graded_factors
-    gives from sigma_eigh's eigenvector entries), their brackets, and what
-    the check compares them with (the coordinate round trip _gather then
-    _scatter, the brackets of the sigma images); sigma_entries is applied
-    to the graded brackets' coordinates by _times_sparse, over its entries."""
+    factors, indexed from one stack of the distinct factors the pairs use
+    (the basis elements, scattered from the table; for the graded check,
+    the coordinates _graded_factors gives from sigma_eigh's eigenvector
+    entries), their brackets, and what the check compares them with (the
+    coordinate round trip _gather then _scatter, the brackets of the sigma
+    images); sigma_entries is applied to the graded brackets' coordinates
+    by _times_sparse, over its entries.
+
+    The Gram residual and the bracket pairs' closure facts (_closure_facts)
+    read nothing but the basis table, whose one input is the algebra's
+    basis rule and N (_basis_key). run_verification passes one shared dict
+    to the families on one table, and the first of them fills it; called
+    without one, structural_checks computes both itself."""
     tol = resolve_eps(eps)
     name = str(space.family)
     d = space.dim_g
     results = []
 
-    gram_dev = _identity_dev(*space._gram_terms(), d)
+    gram_dev = _once(shared, "gram_dev", lambda: _identity_dev(*space._gram_terms(), d))
     results.append(
         CheckResult(f"{name}:basis_orthonormal", gram_dev <= tol, f"max dev {gram_dev:.2e}")
     )
@@ -242,7 +285,7 @@ def structural_checks(space: SpaceInstance, eps: float | None = None) -> list:
     results.append(
         CheckResult(f"{name}:canonical_element_tangent", space.contains_tangent(xi, eps))
     )
-    results.extend(_bracket_checks(space, name, tol))
+    results.extend(_bracket_checks(space, name, tol, shared))
     results.append(_graded_check(space, name, tol))
     return results
 
@@ -381,27 +424,32 @@ def product_pair_checks(lambdas: dict) -> list:
     return results
 
 
-def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
-    """(results, lambda or None) of the battery for one family. The space
+def _family_checks(
+    family, eps: float, debug_scale: float | None, shared: dict | None = None
+) -> tuple:
+    """(results, lambda or None) of the battery for one family, with
+    structural_checks reading and filling shared (see there). The space
     is local here, so its basis data is freed before the next family's is
-    built. No (dim_g, N, N) array is built: the basis is its entry table,
-    the involution its entry list sigma_entries (sigma_coords, the dense
-    matrix, is never built), and the eigenvectors of sigma_eigh (one small
-    eigh per component of the involution) are entries too. The one
-    dim_g x dim_g array is ad(xi) (2.5 MiB at AII(6,6), 8 MiB at
-    AII(8,8)), which ad_spectrum reduces to the p_dim x k_dim block of its
-    SVD, without singular vectors, through a dim_g x k_dim product. The
-    other arrays are smaller: the join pairs and key sums of the Gram
-    matrix and the involution, the (P, N, N) pair stacks of the bracket
-    checks (P <= 630, N <= 9 when sweeping all pairs, P = 24 above; each
-    dropped once its residual is taken) and the scans' (A, N, N) stacks:
-    the one stack of A = 25 or 49 closed-form exponentials and the one
-    eigendecomposition of xi that the exp scan (its first 25) and the
-    isotropy scan (all) share, and the exp scan's (25, N, N) generic
-    stack. Under tracemalloc the largest cap-6 peak is 5.8 MiB (AII(6,6))."""
+    built; the facts of its basis table that shared holds live as long as
+    run_verification's group of families on that table. No (dim_g, N, N)
+    array is built: the basis is its entry table, the involution its entry
+    list sigma_entries (sigma_coords, the dense matrix, is never built),
+    and the eigenvectors of sigma_eigh (one small eigh per component of the
+    involution) are entries too. The one dim_g x dim_g array is ad(xi)
+    (2.5 MiB at AII(6,6), 8 MiB at AII(8,8)), which ad_spectrum reduces to
+    the p_dim x k_dim block of its SVD, without singular vectors, through a
+    dim_g x k_dim product. The other arrays are smaller: the join pairs and
+    key sums of the Gram matrix and the involution, the (P, N, N) pair
+    stacks of the bracket checks (P <= 630, N <= 9 when sweeping all
+    pairs, P = 24 above; standalone, each dropped once its residual is
+    taken) and the scans' (A, N, N) stacks: the one stack of A = 25 or 49
+    closed-form exponentials and the one eigendecomposition of xi that the
+    exp scan (its first 25) and the isotropy scan (all) share, and the exp
+    scan's (25, N, N) generic stack. Under tracemalloc the largest cap-6
+    peak is 5.8 MiB (AII(6,6))."""
     space = build_space(family)
     name = str(family)
-    results = structural_checks(space, eps)
+    results = structural_checks(space, eps, shared)
     scan = _closed_form_scan(space, eps)
     results.append(exp_agreement_check(space, eps, scan))
     results.append(isotropy_scan_check(space, eps, scan))
@@ -440,6 +488,12 @@ def _family_checks(family, eps: float, debug_scale: float | None) -> tuple:
     return results, report.lambda_
 
 
+def _basis_key(family) -> tuple:
+    """The one input of SpaceInstance.basis_entries: the algebra's basis
+    rule and N. Families with one key share one basis table."""
+    return family._spec.basis, family.ambient_dim
+
+
 def run_verification(
     cap: int = 6,
     eps: float | None = None,
@@ -447,20 +501,34 @@ def run_verification(
 ) -> tuple:
     """The full battery over all families with parameters <= cap.
 
-    debug_scale rescales every canonical element before the spindle
-    analysis; anything but 1 breaks canonicality on purpose, so the
-    failure path can be exercised end to end. eps is resolved once here
-    (None reads SPINDLE_EPS) and every stage gets the float. After the
-    families come the product rule and the angle audit over its whole
-    box (rational_angle_bulk_check).
+    debug_scale C rescales every canonical element before the spindle
+    analysis; any |C| != 1 breaks canonicality on purpose, so the failure
+    path can be exercised end to end (C = -1 keeps the frequencies, and
+    passes). eps is resolved once here (None reads SPINDLE_EPS) and every
+    stage gets the float. The families are checked group by group, one
+    group per basis table (_basis_key: 39 tables for the 127 families at
+    cap 6, 53 for 203 at cap 8), each group in sweep order with one shared
+    dict of its table's facts, dropped when the group ends; a family alone
+    on its table runs standalone, freeing each stack once it is read. The
+    results are listed in sweep order. After the families come the product
+    rule and the angle audit over its whole box (rational_angle_bulk_check).
 
     Returns (results, all_ok).
     """
     tol = resolve_eps(eps)
+    families = list(sweep_families(cap))
+    groups: dict = {}
+    for k, family in enumerate(families):
+        groups.setdefault(_basis_key(family), []).append(k)
+    checked: list = [None] * len(families)
+    for members in groups.values():
+        shared = {} if len(members) > 1 else None
+        for k in members:
+            checked[k] = _family_checks(families[k], tol, debug_scale, shared)
+
     results: list = []
     lambdas: dict = {}
-    for family in sweep_families(cap):
-        checks, lam = _family_checks(family, tol, debug_scale)
+    for family, (checks, lam) in zip(families, checked):
         results.extend(checks)
         if lam is not None:
             lambdas[str(family)] = lam

@@ -249,6 +249,13 @@ class TestVerify:
         assert "canonical" in out
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("scale, code", [("-1", 0), ("0.5", 1)])
+    def test_debug_scale_breaks_canonicality_iff_not_unit(self, capsys, scale, code):
+        # -xi has the frequencies of xi, so only |C| != 1 fails the battery.
+        got, out, _ = run(capsys, "verify", "--cap", "2", f"--debug-scale={scale}")
+        assert got == code
+        assert ("0 failed" in out) == (code == 0)
+
     def test_wrong_k_dim_formula_is_a_verification_failure(self, capsys, monkeypatch):
         from dataclasses import replace
 

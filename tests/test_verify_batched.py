@@ -40,6 +40,7 @@ from spindles.verification import (
     _family_checks,
     exp_agreement_check,
     rational_angle_bulk_check,
+    run_verification,
     structural_checks,
 )
 from test_entry_joins import dense_eigh
@@ -333,6 +334,25 @@ def test_family_checks_peak_memory():
         peaks[str(family)] = peak / 2**20
     worst = max(peaks, key=peaks.get)
     assert peaks[worst] <= FAMILY_PEAK_MIB, f"{worst}: peak {peaks[worst]:.2f} MiB"
+
+
+def test_whole_pass_peak_memory():
+    """The tracemalloc peak of one whole cap-6 pass stays within the bound
+    of one family's battery: 5.99 MiB while each family computed its own
+    basis facts, 6.16 MiB now that the families on one basis table share
+    them (the bracket stack br lives through its group), 7.09 MiB in a
+    first version of the sharing. A cap-2 pass runs first, so that the
+    modules numpy imports on first use (1.7 MiB, numpy.ma for np.unique)
+    are not counted."""
+    run_verification(cap=2)
+    tracemalloc.start()
+    try:
+        _, ok = run_verification(cap=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak <= FAMILY_PEAK_MIB * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # The angle audit's box, in the order it is checked.
